@@ -45,9 +45,9 @@ void run_entry(const Fig4Entry& entry) {
     cfg.local.epochs = s.prof.local_epochs;
     cfg.local.batch_size = s.prof.batch;
     cfg.local.lr = s.prof.lr;
-    fl::FederatedSim sim(s.trained, s.parts, s.tt.test, cfg);
-    sim.run(std::max(3L, s.prof.fl_rounds / 2));
-    s.trained = sim.global_model();
+    fl::Engine eng(s.trained, s.parts, s.tt.test, cfg);
+    eng.run(eng.sync_scenario(std::max(3L, s.prof.fl_rounds / 2)), {});
+    s.trained = eng.global_model();
   }
 
   const long rounds = metrics::full_scale() ? 10 : 5;

@@ -22,18 +22,17 @@ void run_clients(long clients) {
   Rng mrng(902);
   nn::Model init = nn::make_model(prof.arch, tt.train.geom,
                                   tt.train.num_classes, mrng);
-  std::vector<std::vector<fl::RoundResult>> runs;
+  std::vector<std::vector<fl::StepResult>> runs;
   // "FedAvg" here is uniform parameter averaging — the variant the paper's
-  // comparison exhibits (see EXPERIMENTS.md); the size-weighted FedAvg lives
-  // in FedAvgAggregator.
+  // comparison exhibits; the size-weighted FedAvg lives in FedAvgAggregator.
   for (const char* agg : {"uniform", "adaptive"}) {
     fl::FlConfig cfg;
     cfg.aggregator = agg;
     cfg.local.epochs = prof.local_epochs;
     cfg.local.batch_size = prof.batch;
     cfg.local.lr = prof.lr;
-    fl::FederatedSim sim(init, parts, tt.test, cfg);
-    runs.push_back(sim.run(rounds));
+    fl::Engine eng(init, parts, tt.test, cfg);
+    runs.push_back(eng.collect(eng.sync_scenario(rounds)));
   }
   for (long r = 0; r < rounds; ++r) {
     table.add_row({std::to_string(r + 1),

@@ -1,8 +1,8 @@
 // End-to-end federated-round benchmark (google-benchmark): the pooled
-// zero-allocation FederatedSim::run_round against a verbatim port of the
-// pre-pool round (deep model copy per client, stringstream wire path,
-// index-gathered 256-row evaluation batches — the allocate-everything
-// baseline this PR replaced). Both run the library's default FlConfig
+// zero-allocation engine round (Engine::sync_scenario(1)) against a verbatim
+// port of the pre-pool round (deep model copy per client, stringstream wire
+// path, index-gathered 256-row evaluation batches — the allocate-everything
+// baseline the pool replaced). Both run the library's default FlConfig
 // (epochs=1, B=100, η=0.001, FedAvg) over the same synthetic federation.
 //
 // items_per_second is rounds/s, so the CI ratchet's machine-independent
@@ -18,7 +18,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "metrics/evaluation.h"
 #include "nn/models.h"
 #include "tensor/buffer_pool.h"
@@ -54,11 +54,13 @@ struct Federation {
 void BM_FlRoundPooled(benchmark::State& state) {
   Federation fed;
   fl::FlConfig cfg;  // library defaults: epochs=1, B=100, η=0.001, fedavg
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-  sim.run_round();  // warm the pool, arenas and recycler
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+  double acc = 0.0;
+  const auto sink = [&](const fl::StepResult& r) { acc = r.global_accuracy; };
+  eng.run(eng.sync_scenario(1), sink);  // warm the pool, arenas and recycler
   for (auto _ : state) {
-    fl::RoundResult r = sim.run_round();
-    benchmark::DoNotOptimize(r.global_accuracy);
+    eng.run(eng.sync_scenario(1), sink);
+    benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(state.iterations());
   // Steady-state allocation count: one more round, outside the timing loop.
@@ -67,7 +69,7 @@ void BM_FlRoundPooled(benchmark::State& state) {
   // "missing" instead of silently passing.
   if (alloc_stats::enabled()) {
     const std::size_t before = alloc_stats::heap_allocations();
-    sim.run_round();
+    eng.run(eng.sync_scenario(1), sink);
     state.counters["allocs_per_round"] =
         double(alloc_stats::heap_allocations() - before);
   }
@@ -83,18 +85,19 @@ void BM_FlRoundAsync(benchmark::State& state) {
   Federation fed;
   fl::FlConfig cfg;
   cfg.async.buffer_size = kClients / 2;
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
   constexpr long kAggsPerIter = 4;
-  sim.run_async(kAggsPerIter);  // warm the pool, arenas and recycler
+  // Warm the pool, arenas and recycler.
+  eng.collect(eng.async_scenario(kAggsPerIter));
   for (auto _ : state) {
-    const auto r = sim.run_async(kAggsPerIter);
+    const auto r = eng.collect(eng.async_scenario(kAggsPerIter));
     benchmark::DoNotOptimize(r.back().global_accuracy);
   }
   state.SetItemsProcessed(state.iterations() * kAggsPerIter);
   // Steady-state allocation gate for the async path (per aggregation).
   if (alloc_stats::enabled()) {
     const std::size_t before = alloc_stats::heap_allocations();
-    sim.run_async(kAggsPerIter);
+    eng.collect(eng.async_scenario(kAggsPerIter));
     state.counters["allocs_per_agg"] =
         double(alloc_stats::heap_allocations() - before) / kAggsPerIter;
   }
@@ -110,8 +113,7 @@ BENCHMARK(BM_FlRoundAsync)->Unit(benchmark::kMillisecond);
 void BM_FlScenario(benchmark::State& state) {
   Federation fed;
   fl::FlConfig cfg;
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-  fl::Engine& eng = sim.engine();
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
   constexpr long kAggsPerIter = 4;
   const auto scenario = [&] {
     fl::Scenario s = eng.async_scenario(kAggsPerIter);
@@ -183,13 +185,13 @@ double legacy_accuracy(nn::Model& model, const data::Dataset& ds,
   return 100.0 * double(correct) / double(n);
 }
 
-/// FederatedSim::run_round as it was before the model pool: a deep copy of
+/// The synchronous round as it was before the model pool: a deep copy of
 /// the global model per client, the stringstream wire path, per-batch
 /// gathered evaluation.
-fl::RoundResult legacy_run_round(nn::Model& global,
-                                 const std::vector<data::Dataset>& clients,
-                                 const data::Dataset& test,
-                                 const fl::FlConfig& cfg, long round) {
+fl::StepResult legacy_run_round(nn::Model& global,
+                                const std::vector<data::Dataset>& clients,
+                                const data::Dataset& test,
+                                const fl::FlConfig& cfg, long round) {
   const std::size_t n = clients.size();
   std::vector<fl::ClientUpdate> updates(n);
   std::vector<double> local_acc(n, 0.0);
@@ -200,7 +202,7 @@ fl::RoundResult legacy_run_round(nn::Model& global,
   runtime::Scheduler::global().parallel_map(n, [&](std::size_t c) {
     nn::Model local = global;  // broadcast: deep copy of global weights
     fl::TrainOptions opts = cfg.local;
-    // Same collision-free seed streams as the current sim, so old and new
+    // Same collision-free seed streams as the engine, so old and new
     // paths train identical batch orders and stay workload-comparable.
     opts.seed = mix_seed(cfg.seed, c, static_cast<std::uint64_t>(round));
     fl::train_local(local, clients[c], opts);
@@ -213,8 +215,8 @@ fl::RoundResult legacy_run_round(nn::Model& global,
 
   global.load(agg->aggregate(updates));
 
-  fl::RoundResult r;
-  r.round = round;
+  fl::StepResult r;
+  r.step = round;
   r.global_accuracy = legacy_accuracy(global, test);
   r.bytes_uplinked = bytes.load();
   r.min_local_accuracy = *std::min_element(local_acc.begin(), local_acc.end());
@@ -232,7 +234,7 @@ void BM_FlRoundFresh(benchmark::State& state) {
   long round = 0;
   legacy_run_round(global, fed.parts, fed.test, cfg, round++);  // warm-up
   for (auto _ : state) {
-    fl::RoundResult r =
+    fl::StepResult r =
         legacy_run_round(global, fed.parts, fed.test, cfg, round++);
     benchmark::DoNotOptimize(r.global_accuracy);
   }

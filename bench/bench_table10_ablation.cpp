@@ -36,9 +36,9 @@ int main() {
     cfg.local.epochs = s.prof.local_epochs;
     cfg.local.batch_size = s.prof.batch;
     cfg.local.lr = s.prof.lr;
-    fl::FederatedSim sim(s.trained, s.parts, s.tt.test, cfg);
-    sim.run(full ? 6 : 3);
-    s.trained = sim.global_model();
+    fl::Engine eng(s.trained, s.parts, s.tt.test, cfg);
+    eng.run(eng.sync_scenario(full ? 6 : 3), {});
+    s.trained = eng.global_model();
   }
 
   struct Config {

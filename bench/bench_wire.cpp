@@ -20,7 +20,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "nn/models.h"
 #include "tensor/buffer_pool.h"
 

@@ -6,7 +6,7 @@
 //   * full (GOLDFISH_SCALE=full): the paper's architectures (LeNet-5,
 //     modified LeNet-5, ResNet-32/56) and 4× data/rounds.
 // The *shape* of every result (who wins, where curves cross) is stable
-// across scales; see EXPERIMENTS.md.
+// across scales.
 #pragma once
 
 #include <cstdio>
@@ -162,9 +162,9 @@ inline Scenario make_scenario(data::DatasetKind kind, float deletion_rate,
   cfg.local.batch_size = s.prof.batch;
   cfg.local.lr = s.prof.lr;
   cfg.seed = seed;
-  fl::FederatedSim sim(s.trained, s.parts, s.tt.test, cfg);
-  sim.run(s.prof.fl_rounds);
-  s.trained = sim.global_model();
+  fl::Engine eng(s.trained, s.parts, s.tt.test, cfg);
+  eng.run(eng.sync_scenario(s.prof.fl_rounds), {});
+  s.trained = eng.global_model();
   return s;
 }
 

@@ -36,9 +36,9 @@ int main() {
   cfg.local.epochs = 12;
   cfg.local.batch_size = 50;
   cfg.local.lr = 0.05f;
-  fl::FederatedSim sim(global, clients, tt.test, cfg);
-  sim.run(3);
-  global = sim.global_model();
+  fl::Engine eng(global, clients, tt.test, cfg);
+  eng.run(eng.sync_scenario(3), {});
+  global = eng.global_model();
   std::cout << "trained model: accuracy "
             << metrics::fmt(metrics::accuracy(global, tt.test)) << "%\n";
 

@@ -23,7 +23,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "metrics/report.h"
 #include "nn/models.h"
 
@@ -59,9 +59,9 @@ int main() {
                       bool bandwidth_clock) {
     Rng mrng(72);  // fresh identical model per run: only the wire differs
     nn::Model global = nn::make_mlp(tt.train.geom, 16, 10, mrng);
-    fl::FederatedSim sim(global, clients, tt.test, cfg);
+    fl::Engine eng(global, clients, tt.test, cfg);
 
-    fl::Scenario s = sim.engine().async_scenario(12);
+    fl::Scenario s = eng.async_scenario(12);
     if (wire) s.wire = std::move(wire);
     if (bandwidth_clock) {
       // Compute time as before, plus bytes / link-speed per upload. Links
@@ -74,7 +74,7 @@ int main() {
 
     WireRun out;
     out.wire = s.wire ? s.wire->name() : "dense";
-    sim.engine().run(std::move(s), [&](const fl::StepResult& r) {
+    eng.run(std::move(s), [&](const fl::StepResult& r) {
       out.upload_bytes = r.upload_bytes;
       out.encode_error = r.encode_error;
       out.virtual_time = r.virtual_time;

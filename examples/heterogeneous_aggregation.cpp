@@ -12,7 +12,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "metrics/evaluation.h"
 #include "metrics/report.h"
 #include "nn/models.h"
@@ -43,10 +43,10 @@ int main() {
     cfg.local.epochs = 3;
     cfg.local.batch_size = 50;
     cfg.local.lr = 0.05f;
-    fl::FederatedSim sim(init, clients, tt.test, cfg);
+    fl::Engine eng(init, clients, tt.test, cfg);
     std::cout << "aggregator = " << agg << ":\n";
-    for (const auto& round : sim.run(5)) {
-      std::cout << "  round " << round.round + 1 << ": global "
+    for (const auto& round : eng.collect(eng.sync_scenario(5))) {
+      std::cout << "  round " << round.step + 1 << ": global "
                 << metrics::fmt(round.global_accuracy) << "%  (locals "
                 << metrics::fmt(round.min_local_accuracy) << "–"
                 << metrics::fmt(round.max_local_accuracy) << "%)\n";
@@ -62,11 +62,11 @@ int main() {
     cfg.local.epochs = 3;
     cfg.local.batch_size = 50;
     cfg.local.lr = 0.05f;
-    fl::FederatedSim sim(init, clients, tt.test, cfg);
-    fl::Scenario s = sim.engine().sync_scenario(5);
+    fl::Engine eng(init, clients, tt.test, cfg);
+    fl::Scenario s = eng.sync_scenario(5);
     s.aggregator_swaps.push_back({/*time=*/2.5, "adaptive"});
     std::cout << "aggregator = fedavg with swap->adaptive after round 2:\n";
-    sim.engine().run(std::move(s), [](const fl::StepResult& r) {
+    eng.run(std::move(s), [](const fl::StepResult& r) {
       std::cout << "  round " << r.step + 1 << " [" << r.aggregator
                 << "]: global " << metrics::fmt(r.global_accuracy)
                 << "%  (locals " << metrics::fmt(r.min_local_accuracy)

@@ -8,10 +8,10 @@
 //   5. Compare accuracy before/after and show that predictions on the
 //      removed data lose their confidence.
 //
-// Both FederatedSim::run and GoldfishUnlearner::run are canned synchronous
-// scenarios over the event-driven fl::Engine; richer server regimes
-// (sampling, buffered aggregation, mid-run deletions, joins/leaves) compose
-// on the same engine — see examples/scenario_stream.cpp.
+// Training runs the fl::Engine's canned synchronous scenario and
+// GoldfishUnlearner::run does the same over its own engine; richer server
+// regimes (sampling, buffered aggregation, mid-run deletions, joins/leaves)
+// compose on the same engine — see examples/scenario_stream.cpp.
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
 #include <iostream>
@@ -44,12 +44,12 @@ int main() {
   flcfg.local.epochs = 3;
   flcfg.local.batch_size = 50;
   flcfg.local.lr = 0.05f;
-  fl::FederatedSim sim(global, clients, tt.test, flcfg);
-  for (const auto& round : sim.run(5))
-    std::cout << "  train round " << round.round + 1
+  fl::Engine trainer(global, clients, tt.test, flcfg);
+  for (const auto& round : trainer.collect(trainer.sync_scenario(5)))
+    std::cout << "  train round " << round.step + 1
               << ": accuracy = " << metrics::fmt(round.global_accuracy) << "%"
               << "\n";
-  global = sim.global_model();
+  global = trainer.global_model();
 
   // 3. Deletion request: client 0 wants its first 30 samples forgotten.
   std::vector<std::size_t> rows;

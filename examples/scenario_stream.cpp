@@ -17,7 +17,7 @@
 #include "core/unlearner.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "metrics/report.h"
 #include "nn/models.h"
 
@@ -40,15 +40,14 @@ int main() {
   cfg.local.batch_size = 50;
   cfg.local.lr = 0.05f;
   cfg.async.duration_log_jitter = 0.5;  // heterogeneous task durations
-  fl::FederatedSim sim(global, clients, tt.test, cfg);
-  fl::Engine& eng = sim.engine();
+  fl::Engine eng(global, clients, tt.test, cfg);
 
   // The deletion request, split into (remaining, removed) exactly like the
   // unlearning driver does: the event carries D_r, we keep D_f for audit.
   core::UnlearnRequest req;
   req.client_id = 1;
   for (std::size_t i = 0; i < 20; ++i) req.rows.push_back(i);
-  auto deletion = core::make_async_deletion(sim, req, /*vtime=*/0.75);
+  auto deletion = core::make_async_deletion(eng, req, /*vtime=*/0.75);
 
   fl::Scenario s = eng.async_scenario(8);
   s.participation = std::make_unique<fl::SampledParticipation>(0.6, 17);
@@ -79,9 +78,10 @@ int main() {
             << " active; client 1 keeps " << eng.client_data(1).size()
             << " rows (audit set: " << deletion.removed.size()
             << " removed)\n"
-            << "the legacy entry points still work on the same engine:\n";
-  const auto r = sim.run_round();
-  std::cout << "  sync round " << r.round
+            << "a synchronous round on the same engine:\n";
+  const long round = eng.rounds_completed();
+  const auto r = eng.collect(eng.sync_scenario(1)).back();
+  std::cout << "  sync round " << round
             << ": accuracy = " << metrics::fmt(r.global_accuracy)
             << "%  (locals " << metrics::fmt(r.min_local_accuracy) << "-"
             << metrics::fmt(r.max_local_accuracy) << "%)\n";

@@ -53,24 +53,24 @@ void local_unlearn(nn::Model& student, nn::Model& competent,
 
 }  // namespace
 
-std::vector<fl::RoundResult> incompetent_teacher_unlearn(
+std::vector<fl::StepResult> incompetent_teacher_unlearn(
     const nn::Model& trained, const nn::Model& incompetent_init,
     std::vector<data::Dataset> remaining, std::vector<data::Dataset> removed,
     data::Dataset server_test, const IncompetentTeacherConfig& cfg,
     long rounds, nn::Model* model_out) {
   GOLDFISH_CHECK(remaining.size() == removed.size(),
                  "remaining/removed client count mismatch");
-  // Keep a copy of the per-client removed sets; the sim only carries D_r.
+  // Keep a copy of the per-client removed sets; the engine only carries D_r.
   auto removed_copy =
       std::make_shared<std::vector<data::Dataset>>(std::move(removed));
   auto competent = std::make_shared<nn::Model>(trained);
   auto incompetent = std::make_shared<nn::Model>(incompetent_init);
 
-  fl::FederatedSim sim(trained, std::move(remaining), std::move(server_test),
-                       cfg.fl);
-  sim.set_client_update([&, removed_copy, competent, incompetent](
-                            std::size_t cid, nn::Model& local,
-                            const data::Dataset& ds, long round) {
+  fl::Engine engine(trained, std::move(remaining), std::move(server_test),
+                    cfg.fl);
+  engine.set_client_update([&, removed_copy, competent, incompetent](
+                               std::size_t cid, nn::Model& local,
+                               const data::Dataset& ds, long round) {
     // Thread-local teacher replicas (forward mutates caches).
     nn::Model competent_local = *competent;
     nn::Model incompetent_local = *incompetent;
@@ -79,8 +79,9 @@ std::vector<fl::RoundResult> incompetent_teacher_unlearn(
                   cfg.fl.seed ^ (0xB3B3ull * (cid + 1)) ^
                       static_cast<std::uint64_t>(round));
   });
-  std::vector<fl::RoundResult> results = sim.run(rounds);
-  if (model_out != nullptr) *model_out = sim.global_model();
+  std::vector<fl::StepResult> results =
+      engine.collect(engine.sync_scenario(rounds));
+  if (model_out != nullptr) *model_out = engine.global_model();
   return results;
 }
 

@@ -9,7 +9,7 @@
 // teacher preserves utility on D_r.
 #pragma once
 
-#include "fl/simulation.h"
+#include "fl/engine.h"
 
 namespace goldfish::baselines {
 
@@ -25,7 +25,7 @@ struct IncompetentTeacherConfig {
 /// teacher); `incompetent_init` is a never-trained model of the same
 /// architecture. `remaining` / `removed` are per-client splits (removed may
 /// be empty for normal clients).
-std::vector<fl::RoundResult> incompetent_teacher_unlearn(
+std::vector<fl::StepResult> incompetent_teacher_unlearn(
     const nn::Model& trained, const nn::Model& incompetent_init,
     std::vector<data::Dataset> remaining, std::vector<data::Dataset> removed,
     data::Dataset server_test, const IncompetentTeacherConfig& cfg,

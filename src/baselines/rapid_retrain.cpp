@@ -108,7 +108,7 @@ void train_preconditioned(nn::Model& model, const data::Dataset& ds,
 
 }  // namespace
 
-std::vector<fl::RoundResult> rapid_retrain(
+std::vector<fl::StepResult> rapid_retrain(
     const nn::Model& fresh_init, nn::Model& trained_model,
     std::vector<data::Dataset> remaining, data::Dataset server_test,
     const RapidRetrainConfig& cfg, long rounds, nn::Model* model_out) {
@@ -124,17 +124,18 @@ std::vector<fl::RoundResult> rapid_retrain(
   const std::vector<Tensor> pre =
       preconditioner_from_fim(fim, cfg.damping, cfg.max_boost);
 
-  fl::FederatedSim sim(fresh_init, std::move(remaining),
-                       std::move(server_test), cfg.fl);
-  sim.set_client_update([&](std::size_t cid, nn::Model& local,
-                            const data::Dataset& ds, long round) {
+  fl::Engine engine(fresh_init, std::move(remaining), std::move(server_test),
+                    cfg.fl);
+  engine.set_client_update([&](std::size_t cid, nn::Model& local,
+                               const data::Dataset& ds, long round) {
     fl::TrainOptions opts = cfg.fl.local;
     opts.seed = cfg.fl.seed ^ (0xB2B2ull * (cid + 1)) ^
                 static_cast<std::uint64_t>(round);
     train_preconditioned(local, ds, opts, pre);
   });
-  std::vector<fl::RoundResult> results = sim.run(rounds);
-  if (model_out != nullptr) *model_out = sim.global_model();
+  std::vector<fl::StepResult> results =
+      engine.collect(engine.sync_scenario(rounds));
+  if (model_out != nullptr) *model_out = engine.global_model();
   return results;
 }
 

@@ -11,7 +11,7 @@
 // but converges faster than plain B1.
 #pragma once
 
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "losses/hard_loss.h"
 
 namespace goldfish::baselines {
@@ -33,7 +33,7 @@ struct RapidRetrainConfig {
 
 /// Federated rapid retraining: fresh init, FIM-preconditioned local SGD on
 /// remaining data, FedAvg aggregation.
-std::vector<fl::RoundResult> rapid_retrain(
+std::vector<fl::StepResult> rapid_retrain(
     const nn::Model& fresh_init, nn::Model& trained_model,
     std::vector<data::Dataset> remaining, data::Dataset server_test,
     const RapidRetrainConfig& cfg, long rounds,

@@ -21,7 +21,7 @@ ShardManager& ShardedClientFleet::manager(std::size_t client) {
   return *managers_[client];
 }
 
-fl::FederatedSim::ClientUpdateFn ShardedClientFleet::update_fn(
+fl::Engine::ClientUpdateFn ShardedClientFleet::update_fn(
     fl::TrainOptions base_opts, runtime::Scheduler* sched) {
   return [this, base_opts, sched](std::size_t client, nn::Model& upload,
                                   const data::Dataset& /*unused*/,

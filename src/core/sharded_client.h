@@ -10,7 +10,7 @@
 #pragma once
 
 #include "core/sharding.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 
 namespace goldfish::core {
 
@@ -24,13 +24,13 @@ class ShardedClientFleet {
   std::size_t num_clients() const { return managers_.size(); }
   ShardManager& manager(std::size_t client);
 
-  /// Client-update hook for FederatedSim: trains the client's shards one
+  /// Client-update hook for fl::Engine: trains the client's shards one
   /// round and loads the Eq. 8 aggregate into the upload model. The global
   /// broadcast is intentionally ignored — shard isolation is what the
-  /// deletion guarantee rests on. Shard retraining nests inside the sim's
+  /// deletion guarantee rests on. Shard retraining nests inside the engine's
   /// client-level parallelism on the same Scheduler (nullptr → global);
   /// nested regions run inline or on free workers, never deadlocking.
-  fl::FederatedSim::ClientUpdateFn update_fn(
+  fl::Engine::ClientUpdateFn update_fn(
       fl::TrainOptions base_opts, runtime::Scheduler* sched = nullptr);
 
   /// Apply a deletion to one client (rows index that client's original

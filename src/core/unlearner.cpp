@@ -59,12 +59,12 @@ DeletionSplit split_deletion(const data::Dataset& local,
   return {local.subset(keep), local.subset(drop)};
 }
 
-AsyncDeletionPlan make_async_deletion(const fl::FederatedSim& sim,
+AsyncDeletionPlan make_async_deletion(const fl::Engine& engine,
                                       const UnlearnRequest& req,
                                       double vtime) {
-  GOLDFISH_CHECK(req.client_id < sim.num_clients(),
+  GOLDFISH_CHECK(req.client_id < engine.num_clients(),
                  "deletion request for unknown client");
-  DeletionSplit split = split_deletion(sim.client_data(req.client_id), req);
+  DeletionSplit split = split_deletion(engine.client_data(req.client_id), req);
   AsyncDeletionPlan plan;
   plan.event.time = vtime;
   plan.event.client = req.client_id;

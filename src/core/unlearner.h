@@ -18,7 +18,7 @@
 #include <mutex>
 
 #include "core/distill_trainer.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 
 namespace goldfish::core {
 
@@ -39,9 +39,9 @@ struct DeletionSplit {
 DeletionSplit split_deletion(const data::Dataset& local,
                              const UnlearnRequest& req);
 
-/// Build the scenario-timeline deletion trigger for a request against a
-/// running FederatedSim: the returned event, handed to
-/// FederatedSim::run_async (or placed in any Engine Scenario), replaces the
+/// Build the scenario-timeline deletion trigger for a request against an
+/// engine's federation: the returned event, handed to
+/// Engine::async_scenario (or placed in any Scenario), replaces the
 /// client's data with its remaining rows at virtual time `vtime` — evicting
 /// the client's buffered and in-flight updates, which trained on the
 /// deleted rows, before they can reach an aggregation. The removed rows
@@ -51,7 +51,7 @@ struct AsyncDeletionPlan {
   fl::DeletionEvent event;
   data::Dataset removed;
 };
-AsyncDeletionPlan make_async_deletion(const fl::FederatedSim& sim,
+AsyncDeletionPlan make_async_deletion(const fl::Engine& engine,
                                       const UnlearnRequest& req,
                                       double vtime);
 

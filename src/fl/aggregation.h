@@ -106,8 +106,8 @@ class FedAvgAggregator final : public Aggregator {
 
 /// Uniform (equal-weight) parameter averaging: ω = (1/C)·Σ ω_c. This is the
 /// naive FedAvg variant many FL implementations ship (and the behaviour the
-/// paper's Fig. 8/9 comparison exhibits — see EXPERIMENTS.md); kept distinct
-/// from the size-weighted FedAvgAggregator above.
+/// paper's Fig. 8/9 comparison exhibits); kept distinct from the
+/// size-weighted FedAvgAggregator above.
 class UniformAggregator final : public Aggregator {
  public:
   std::vector<float> weights(

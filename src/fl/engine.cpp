@@ -187,15 +187,28 @@ struct Engine::Schedule {
 
 Engine::Engine(nn::Model global, std::vector<data::Dataset> client_data,
                data::Dataset server_test, FlConfig cfg)
+    : Engine(std::move(global), std::move(client_data), nullptr,
+             std::move(server_test), std::move(cfg)) {}
+
+Engine::Engine(nn::Model global, population::Population pop,
+               data::Dataset server_test, FlConfig cfg)
+    : Engine(std::move(global), {},
+             std::make_unique<population::Population>(std::move(pop)),
+             std::move(server_test), std::move(cfg)) {}
+
+Engine::Engine(nn::Model global, std::vector<data::Dataset> client_data,
+               std::unique_ptr<population::Population> pop,
+               data::Dataset server_test, FlConfig cfg)
     : global_(std::move(global)),
       replica_template_(global_),
       clients_(std::move(client_data)),
-      active_(clients_.size(), true),
+      pop_(std::move(pop)),
+      active_(num_clients(), true),
       test_(std::move(server_test)),
-      cfg_(validated(std::move(cfg), clients_.size())),
+      cfg_(validated(std::move(cfg), num_clients())),
       sched_(&runtime::scheduler_for(cfg_.threads, owned_sched_)),
       eval_(test_, cfg_.eval_batch) {
-  GOLDFISH_CHECK(!clients_.empty(), "engine needs clients");
+  GOLDFISH_CHECK(num_clients() > 0, "engine needs clients");
   GOLDFISH_CHECK(!test_.empty(), "engine needs a server test set");
   stackable_ = stackable_mlp();
   // Default behaviour: Algorithm 1's LocalTraining. Each (client, round)
@@ -208,28 +221,8 @@ Engine::Engine(nn::Model global, std::vector<data::Dataset> client_data,
   };
 }
 
-Engine::Engine(nn::Model global, population::Population pop,
-               data::Dataset server_test, FlConfig cfg)
-    : global_(std::move(global)),
-      replica_template_(global_),
-      pop_(std::make_unique<population::Population>(std::move(pop))),
-      active_(pop_->clients.num_clients(), true),
-      test_(std::move(server_test)),
-      cfg_(validated(std::move(cfg), pop_->clients.num_clients())),
-      sched_(&runtime::scheduler_for(cfg_.threads, owned_sched_)),
-      eval_(test_, cfg_.eval_batch) {
-  GOLDFISH_CHECK(pop_->clients.num_clients() > 0, "engine needs clients");
-  GOLDFISH_CHECK(!test_.empty(), "engine needs a server test set");
-  stackable_ = stackable_mlp();
-  update_fn_ = [this](std::size_t cid, nn::Model& model,
-                      const data::Dataset& ds, long round) {
-    TrainOptions opts = cfg_.local;
-    opts.seed = mix_seed(cfg_.seed, cid, static_cast<std::uint64_t>(round));
-    train_local(model, ds, opts);
-  };
-}
-
-Engine::ModelLease::ModelLease(Engine& eng) : eng_(eng) {
+Engine::ModelLease::ModelLease(Engine& eng)
+    : eng_(eng), provision_(eng.sched_->parallelism()) {
   {
     std::lock_guard<std::mutex> lock(eng_.pool_mu_);
     if (!eng_.pool_.empty()) {
@@ -354,6 +347,7 @@ void Engine::stacked_local_accuracy(const std::vector<ClientUpdate>& updates,
     sched_->parallel_map(
         static_cast<std::size_t>(n),
         [&](std::size_t c) {
+          BufferPoolProvision provision(sched_->parallelism());
           const Tensor& w2 = updates[c].params[2];
           const Tensor& b2 = updates[c].params[3];
           Tensor logits = Tensor::uninit({rows, k});

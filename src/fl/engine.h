@@ -18,11 +18,14 @@
 // replica set (broadcast is an in-place load over pooled storage), layers
 // write into per-model Workspace arenas, the wire path reuses per-thread
 // buffers, and remaining tensor temporaries recycle through a
-// BufferPoolScope held for the engine's lifetime.
+// BufferPoolScope held for the engine's lifetime. Each client task
+// provisions the buffer sizes it is first to need for every executor, so a
+// run that reaches a deeper concurrency than the warm-up still finds them.
 //
-// FederatedSim (fl/simulation.h) keeps the familiar run_round/run/run_async
-// entry points as thin facades: each is a canned Scenario + policy bundle
-// over this engine, bit-identical to the historical implementations.
+// The two canned bundles cover the classic regimes: sync_scenario(n) runs n
+// synchronous rounds (buffered aggregation with K = all clients) and
+// async_scenario(n, deletions) runs n FedBuff-style buffer aggregations.
+// Both are bit-identical to the historical hardcoded loops.
 #pragma once
 
 #include <atomic>
@@ -44,7 +47,7 @@
 namespace goldfish::fl {
 
 /// Buffered-asynchronous execution knobs: the default parameter source for
-/// buffered scenarios (Engine::async_scenario / FederatedSim::run_async).
+/// buffered scenarios (Engine::async_scenario).
 struct AsyncFlConfig {
   /// Updates buffered before the server aggregates (K). 0 → num_clients.
   long buffer_size = 0;
@@ -218,10 +221,9 @@ struct Scenario {
   bool local_accuracy = false;
 };
 
-/// Unified per-aggregation telemetry, emitted through the Engine's sink.
-/// Supersedes the legacy RoundResult / AsyncRoundResult split: synchronous
-/// rounds are simply steps whose staleness is 0 and whose local-accuracy
-/// block is populated.
+/// Per-aggregation telemetry, emitted through the Engine's sink. A
+/// synchronous round is simply a step whose staleness is 0 and whose
+/// local-accuracy block is populated.
 struct StepResult {
   long step = 0;              ///< aggregation index within this run
   double virtual_time = 0.0;  ///< virtual clock when the buffer filled
@@ -307,16 +309,19 @@ class Engine {
   /// run() collecting the telemetry stream into a vector.
   std::vector<StepResult> collect(Scenario scenario);
 
-  // -- canned scenario bundles (the legacy entry points) -------------------
+  // -- canned scenario bundles ---------------------------------------------
 
   /// `rounds` synchronous barrier rounds: full participation, K = all
-  /// active clients, constant task durations, no staleness decay. With
-  /// `local_accuracy` this is exactly FederatedSim::run_round's regime.
+  /// active clients, constant task durations, no staleness decay, and (with
+  /// `local_accuracy`) the per-client local-accuracy block.
   Scenario sync_scenario(long rounds, bool local_accuracy = true) const;
 
   /// FedBuff-style buffered-asynchronous execution from the FlConfig's
-  /// async block, with optional mid-run deletions — exactly
-  /// FederatedSim::run_async's regime.
+  /// async block: clients train continuously, the server aggregates every
+  /// K = cfg.async.buffer_size arrivals with (1+s)^−α staleness decay over
+  /// the seeded log-normal VirtualClock. `deletions` must carry each
+  /// client's *remaining* data (core::make_async_deletion builds them);
+  /// after the run client_data() reflects the post-deletion datasets.
   Scenario async_scenario(long aggregations,
                           std::vector<DeletionEvent> deletions = {}) const;
 
@@ -353,14 +358,21 @@ class Engine {
   void set_client_data(std::size_t c, data::Dataset ds);
 
  private:
-  friend class FederatedSim;
   struct Schedule;
   struct EpochTable;
+
+  /// The shared body of both public constructors: exactly one of
+  /// `client_data` (resident mode) and `pop` (population mode) is used.
+  Engine(nn::Model global, std::vector<data::Dataset> client_data,
+         std::unique_ptr<population::Population> pop,
+         data::Dataset server_test, FlConfig cfg);
 
   /// RAII lease of a pooled model replica: pops a free replica (cloning the
   /// global model only when the pool has never been this deep — i.e. the
   /// first run), returns it on destruction. Leases never outlive the
-  /// engine.
+  /// engine. A lease marks its thread as running one of up to
+  /// `parallelism()` concurrent tasks, so the buffers its task is first to
+  /// need (the replica clone included) are provisioned for every executor.
   class ModelLease {
    public:
     explicit ModelLease(Engine& eng);
@@ -369,6 +381,7 @@ class Engine {
 
    private:
     Engine& eng_;
+    BufferPoolProvision provision_;
     std::unique_ptr<nn::Model> model_;
   };
 

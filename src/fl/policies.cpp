@@ -17,7 +17,7 @@ namespace {
 constexpr std::uint64_t kSamplingSalt = 0x2545F4914F6CDD1Dull;
 
 /// Salt of the virtual-duration streams. The constant is load-bearing: it is
-/// the salt the legacy FederatedSim::run_async used, so a VirtualClock built
+/// the salt of the historical buffered-async loop, so a VirtualClock built
 /// from the same FlConfig draws bit-identical durations and replays the
 /// legacy golden schedules exactly.
 constexpr std::uint64_t kDurationSalt = 0x517CC1B727220A95ull;

@@ -68,8 +68,8 @@ class ParticipationPolicy {
   virtual std::string name() const = 0;
 };
 
-/// Every client trains continuously — the legacy run_round / run_async
-/// behaviour.
+/// Every client trains continuously — the behaviour of the canned
+/// Engine::sync_scenario / async_scenario bundles.
 class FullParticipation final : public ParticipationPolicy {
  public:
   bool participates(std::size_t, long, double) override { return true; }
@@ -219,7 +219,7 @@ class ClockPolicy {
   virtual std::string name() const = 0;
 };
 
-/// The deterministic virtual clock (the legacy run_async behaviour):
+/// The deterministic virtual clock (Engine::async_scenario's default):
 /// duration = mean · exp(log_jitter · N(0,1)), drawn from the seeded
 /// per-(client, task) stream mix_seed(seed ^ salt, client, index). With
 /// log_jitter = 0 every task takes exactly `mean`, which reproduces the

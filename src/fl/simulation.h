@@ -1,123 +1,22 @@
-// The classic federated-simulation entry points, kept as a thin facade over
-// the event-driven fl::Engine (fl/engine.h).
-//
-// Each legacy entry point is a canned Scenario + policy bundle:
-//
-//   run_round / run(n)  →  Engine::sync_scenario: full participation,
-//                          K = all active clients, constant durations, no
-//                          staleness decay, local-accuracy telemetry.
-//   run_async           →  Engine::async_scenario: full participation,
-//                          fixed K = cfg.async.buffer_size, the seeded
-//                          log-normal VirtualClock, (1+s)^−α decay, and the
-//                          deletions mapped onto the scenario timeline.
-//
-// Results are bit-identical to the historical hardcoded loops at any thread
-// count (pinned by tests/fl_test.cpp, tests/async_round_test.cpp and
-// tests/zero_alloc_round_test.cpp against verbatim legacy references).
-// Scenarios beyond these bundles — client sampling, adaptive buffers,
-// availability windows, joins/leaves, aggregator swaps, wall-clock traces —
-// are composed directly on the Engine (see src/fl/README.md).
+// Kept only because the benchmark program in perfbench/ builds against it;
+// everything else uses fl::Engine (fl/engine.h) directly.
 #pragma once
 
 #include "fl/engine.h"
 
 namespace goldfish::fl {
 
-/// Telemetry for one synchronous round.
-struct RoundResult {
-  long round = 0;
-  double global_accuracy = 0.0;
-  double min_local_accuracy = 0.0;
-  double max_local_accuracy = 0.0;
-  double mean_local_accuracy = 0.0;
-  std::size_t bytes_uplinked = 0;
-};
-
-/// Telemetry for one asynchronous buffer aggregation.
-struct AsyncRoundResult {
-  long agg = 0;                 ///< aggregation index within this run
-  double virtual_time = 0.0;    ///< virtual clock when the buffer filled
-  double global_accuracy = 0.0;
-  double mean_staleness = 0.0;  ///< over the K consumed updates
-  long max_staleness = 0;
-  long updates_consumed = 0;    ///< == buffer size K
-  /// Updates invalidated so far (cumulative): deletion requests evict a
-  /// client's buffered updates and void its in-flight task.
-  long dropped_updates = 0;
-  std::size_t bytes_uplinked = 0;  ///< wire bytes of the consumed updates
-  /// Encoded bytes of a single upload under the run's WirePolicy (constant
-  /// within a run; dense GFT1 for the canned bundles).
-  std::size_t upload_bytes = 0;
-  /// Mean relative L2 error the wire encoding injected into the consumed
-  /// updates (0 for the canned bundles' lossless dense wire).
-  double encode_error = 0.0;
-};
-
-/// The engine's DeletionEvent under its historical name: a deletion request
-/// arriving mid-run at a virtual time (see fl/engine.h for the semantics;
-/// core/unlearner.h builds these events).
-using AsyncDeletion = DeletionEvent;
-
 class FederatedSim {
  public:
-  /// The per-client update: receives a local model already initialized from
-  /// the current global parameters, trains it, and returns nothing (the sim
-  /// snapshots the model afterwards). `round` is the global round index.
-  using ClientUpdateFn = Engine::ClientUpdateFn;
-
   FederatedSim(nn::Model global, std::vector<data::Dataset> client_data,
                data::Dataset server_test, FlConfig cfg)
       : engine_(std::move(global), std::move(client_data),
                 std::move(server_test), std::move(cfg)) {}
 
-  /// Replace the default (plain LocalTraining) client update.
-  void set_client_update(ClientUpdateFn fn) {
-    engine_.set_client_update(std::move(fn));
-  }
-
-  /// Execute one synchronous round: pooled broadcast → parallel local
-  /// updates → serialize/upload → (adaptive: server-side MSE scoring) →
-  /// aggregate. A one-aggregation sync scenario on the engine.
-  RoundResult run_round();
-
-  /// Run `rounds` rounds, collecting telemetry (one sync scenario).
-  std::vector<RoundResult> run(long rounds);
-
-  /// Buffered-asynchronous execution (FedBuff-style): clients train
-  /// continuously as independent Scheduler tasks; the server aggregates
-  /// whenever K = cfg.async.buffer_size updates have arrived, weighting
-  /// each by its base aggregator weight × (1+staleness)^−α. Runs until
-  /// `aggregations` buffers have been consumed. With K = num_clients and
-  /// duration_log_jitter = 0 the schedule degenerates to the synchronous
-  /// one and matches run_round bit for bit.
-  ///
-  /// `deletions` inject unlearning requests mid-run (see DeletionEvent);
-  /// they must be the client's *remaining* data and take effect at their
-  /// virtual time, evicting the client's pending/in-flight updates. After
-  /// the run, client_data() reflects the post-deletion datasets.
-  std::vector<AsyncRoundResult> run_async(
-      long aggregations, std::vector<AsyncDeletion> deletions = {});
-
-  /// The engine underneath, for scenarios beyond the canned bundles
-  /// (sampling, adaptive buffers, joins/leaves, aggregator swaps, traces).
   Engine& engine() { return engine_; }
-  const Engine& engine() const { return engine_; }
-
   nn::Model& global_model() { return engine_.global_model(); }
-  const data::Dataset& server_test() const { return engine_.server_test(); }
-  const data::Dataset& client_data(std::size_t c) const {
-    return engine_.client_data(c);
-  }
-  std::size_t num_clients() const { return engine_.num_clients(); }
-
-  /// Number of pooled client-model replicas currently alive (grows on
-  /// demand, bounded by the scheduler's parallelism).
-  std::size_t pool_size() const { return engine_.pool_size(); }
-
-  /// Replace one client's dataset. Rejected (std::logic_error) while a run
-  /// is in flight — deletion events are the supported mid-run path.
-  void set_client_data(std::size_t c, data::Dataset ds) {
-    engine_.set_client_data(c, std::move(ds));
+  void set_client_update(Engine::ClientUpdateFn fn) {
+    engine_.set_client_update(std::move(fn));
   }
 
  private:

@@ -14,7 +14,13 @@ struct Pool {
   std::mutex mu;
   // Size-keyed free lists. Keys are the exact element counts the vector
   // allocator requested, so allocate/deallocate pairs always agree.
-  std::unordered_map<std::size_t, std::vector<float*>> free;
+  struct Slot {
+    std::vector<float*> free;
+    // Most blocks of this size any BufferPoolProvision task has held at
+    // once; spares were parked for every block up to it.
+    long task_peak = 0;
+  };
+  std::unordered_map<std::size_t, Slot> slots;
   int scopes = 0;  // source of truth, guarded by mu
 };
 
@@ -26,7 +32,7 @@ Pool& pool() {
 }
 
 // Fast-path hint mirroring Pool::scopes: lets alloc/free skip the mutex
-// entirely when no scope is active (the common case outside FederatedSim).
+// entirely when no scope is active (the common case outside fl::Engine).
 // A stale read is harmless — a just-opened scope merely misses one recycle;
 // a just-closed scope is re-checked under the lock.
 std::atomic<int> g_scope_hint{0};
@@ -34,6 +40,15 @@ std::atomic<int> g_scope_hint{0};
 #ifdef GOLDFISH_ALLOC_STATS
 std::atomic<std::size_t> g_heap_allocs{0};
 #endif
+
+// The innermost BufferPoolProvision alive on this thread, if any.
+thread_local BufferPoolProvision* t_task = nullptr;
+
+// Largest block (in floats, 512 KiB) a provisioned task parks copies of:
+// room for a batch of the default B = 100 MNIST rows (78,400 floats). Above
+// it sit datasets and whole-batch conv workspaces, where a parked copy per
+// executor costs more resident memory than the allocation it saves.
+constexpr std::size_t kMaxProvisionedFloats = std::size_t{1} << 17;
 
 float* heap_allocate(std::size_t n) {
 #ifdef GOLDFISH_ALLOC_STATS
@@ -48,13 +63,28 @@ namespace detail {
 
 float* pool_allocate_float(std::size_t n) {
   if (g_scope_hint.load(std::memory_order_relaxed) > 0) {
+    BufferPoolProvision* task = n <= kMaxProvisionedFloats ? t_task : nullptr;
+    long* held = task ? task->held(n, /*insert=*/true) : nullptr;
+    if (held) ++*held;
     Pool& p = pool();
     std::lock_guard<std::mutex> lock(p.mu);
     if (p.scopes > 0) {
-      auto it = p.free.find(n);
-      if (it != p.free.end() && !it->second.empty()) {
-        float* ptr = it->second.back();
-        it->second.pop_back();
+      Pool::Slot& slot = p.slots[n];
+      if (held && *held > slot.task_peak) {
+        // This task holds more blocks of size n than any task before it:
+        // every sibling that may run alongside it will too, and a finished
+        // task's blocks may still be alive (an upload awaiting aggregation)
+        // when the next one starts on the same executor. The spares are
+        // parked under the lock, so a sibling racing to the same size takes
+        // one instead of allocating its own; the block itself comes from the
+        // heap, so parked blocks other code will need again stay parked.
+        const long extra = *held - slot.task_peak;
+        slot.task_peak = *held;
+        for (long i = 0; i < extra * static_cast<long>(task->copies_); ++i)
+          slot.free.push_back(heap_allocate(n));
+      } else if (!slot.free.empty()) {
+        float* ptr = slot.free.back();
+        slot.free.pop_back();
         return ptr;
       }
     }
@@ -64,10 +94,13 @@ float* pool_allocate_float(std::size_t n) {
 
 void pool_deallocate_float(float* ptr, std::size_t n) noexcept {
   if (g_scope_hint.load(std::memory_order_relaxed) > 0) {
+    BufferPoolProvision* task = n <= kMaxProvisionedFloats ? t_task : nullptr;
+    if (long* held = task ? task->held(n, /*insert=*/false) : nullptr)
+      --*held;
     Pool& p = pool();
     std::lock_guard<std::mutex> lock(p.mu);
     if (p.scopes > 0) {
-      p.free[n].push_back(ptr);
+      p.slots[n].free.push_back(ptr);
       return;
     }
   }
@@ -85,14 +118,29 @@ BufferPoolScope::BufferPoolScope() {
 
 BufferPoolScope::~BufferPoolScope() {
   Pool& p = pool();
-  std::unordered_map<std::size_t, std::vector<float*>> drained;
+  std::unordered_map<std::size_t, Pool::Slot> drained;
   {
     std::lock_guard<std::mutex> lock(p.mu);
-    if (--p.scopes == 0) drained.swap(p.free);
+    if (--p.scopes == 0) drained.swap(p.slots);
     g_scope_hint.store(p.scopes, std::memory_order_relaxed);
   }
-  for (auto& [n, ptrs] : drained)
-    for (float* ptr : ptrs) ::operator delete(ptr);
+  for (auto& [n, slot] : drained)
+    for (float* ptr : slot.free) ::operator delete(ptr);
+}
+
+BufferPoolProvision::BufferPoolProvision(std::size_t copies)
+    : copies_(copies > 0 ? copies : 1), prev_(t_task) {
+  t_task = this;
+}
+
+BufferPoolProvision::~BufferPoolProvision() { t_task = prev_; }
+
+long* BufferPoolProvision::held(std::size_t n, bool insert) {
+  for (std::size_t i = 0; i < num_sizes_; ++i)
+    if (held_[i].size == n) return &held_[i].count;
+  if (!insert || num_sizes_ == held_.size()) return nullptr;
+  held_[num_sizes_] = {n, 0};
+  return &held_[num_sizes_++].count;
 }
 
 namespace alloc_stats {

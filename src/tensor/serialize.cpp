@@ -110,6 +110,26 @@ void append(std::string& out, T v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
+/// Reads a record's rank and dims (the part after its magic).
+Shape read_shape(ByteReader& r) {
+  const std::uint32_t rank = r.take<std::uint32_t>();
+  GOLDFISH_CHECK(rank <= 8, "implausible tensor rank");
+  Shape shape(rank);
+  for (std::uint32_t d = 0; d < rank; ++d) {
+    shape[d] = static_cast<long>(r.take<std::int64_t>());
+    GOLDFISH_CHECK(shape[d] >= 0 && shape[d] < (1L << 32), "bad dim");
+  }
+  return shape;
+}
+
+/// Element count of a dense GFT1 record's shape, checked against the bytes
+/// left *before* anything is allocated for it.
+std::size_t dense_payload_numel(const ByteReader& r, const Shape& shape) {
+  const std::size_t numel = Tensor::shape_numel(shape);
+  GOLDFISH_CHECK(numel <= r.left / sizeof(float), "truncated tensor payload");
+  return numel;
+}
+
 }  // namespace
 
 GOLDFISH_HOT void serialize_tensors(const std::vector<Tensor>& ts,
@@ -143,18 +163,11 @@ GOLDFISH_HOT void read_tensor_record_into(const char* data, std::size_t size,
   GOLDFISH_CHECK(offset != nullptr && *offset <= size, "bad record offset");
   ByteReader r{data + *offset, size - *offset};
   GOLDFISH_CHECK(r.take<std::uint32_t>() == kMagic, "bad tensor magic");
-  const std::uint32_t rank = r.take<std::uint32_t>();
-  GOLDFISH_CHECK(rank <= 8, "implausible tensor rank");
-  Shape shape(rank);
-  for (std::uint32_t d = 0; d < rank; ++d) {
-    shape[d] = static_cast<long>(r.take<std::int64_t>());
-    GOLDFISH_CHECK(shape[d] >= 0 && shape[d] < (1L << 32), "bad dim");
-  }
+  const Shape shape = read_shape(r);
+  const std::size_t payload = dense_payload_numel(r, shape) * sizeof(float);
   // In-place landing: a no-op when the destination already holds this shape
   // (the cold store's pooled slots), a pool-recycled growth otherwise.
   t.resize_uninit(shape);
-  const std::size_t payload = t.numel() * sizeof(float);
-  GOLDFISH_CHECK(r.left >= payload, "truncated tensor payload");
   if (payload != 0) std::memcpy(t.data(), r.p, payload);
   *offset = size - (r.left - payload);
 }
@@ -167,16 +180,9 @@ std::vector<Tensor> deserialize_tensors(const char* data, std::size_t size) {
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     GOLDFISH_CHECK(r.take<std::uint32_t>() == kMagic, "bad tensor magic");
-    const std::uint32_t rank = r.take<std::uint32_t>();
-    GOLDFISH_CHECK(rank <= 8, "implausible tensor rank");
-    Shape shape(rank);
-    for (std::uint32_t d = 0; d < rank; ++d) {
-      shape[d] = static_cast<long>(r.take<std::int64_t>());
-      GOLDFISH_CHECK(shape[d] >= 0 && shape[d] < (1L << 32), "bad dim");
-    }
+    Shape shape = read_shape(r);
+    const std::size_t payload = dense_payload_numel(r, shape) * sizeof(float);
     Tensor t = Tensor::uninit(std::move(shape));
-    const std::size_t payload = t.numel() * sizeof(float);
-    GOLDFISH_CHECK(r.left >= payload, "truncated tensor payload");
     if (payload != 0) std::memcpy(t.data(), r.p, payload);
     r.p += payload;
     r.left -= payload;
@@ -209,19 +215,12 @@ void append_record_header(std::string& out, std::uint32_t magic,
 }
 
 /// Reads the record prefix written by append_record_header and returns the
-/// (still uninitialized) tensor of the recorded shape.
-Tensor read_record_header(ByteReader& r, std::uint32_t magic,
-                          const char* what) {
+/// recorded shape.
+Shape read_record_header(ByteReader& r, std::uint32_t magic,
+                         const char* what) {
   GOLDFISH_CHECK(r.take<std::uint32_t>() == magic,
                  std::string("bad ") + what + " record magic");
-  const std::uint32_t rank = r.take<std::uint32_t>();
-  GOLDFISH_CHECK(rank <= 8, "implausible tensor rank");
-  Shape shape(rank);
-  for (std::uint32_t d = 0; d < rank; ++d) {
-    shape[d] = static_cast<long>(r.take<std::int64_t>());
-    GOLDFISH_CHECK(shape[d] >= 0 && shape[d] < (1L << 32), "bad dim");
-  }
-  return Tensor::uninit(std::move(shape));
+  return read_shape(r);
 }
 
 }  // namespace
@@ -268,10 +267,12 @@ std::vector<Tensor> deserialize_quantized(const char* data, std::size_t size) {
   std::vector<Tensor> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    Tensor t = read_record_header(r, kQuantMagic, "quantized");
+    Shape shape = read_record_header(r, kQuantMagic, "quantized");
     const float mn = r.take<float>();
     const float scale = r.take<float>();
-    GOLDFISH_CHECK(r.left >= t.numel(), "truncated quantized payload");
+    GOLDFISH_CHECK(r.left >= Tensor::shape_numel(shape),
+                   "truncated quantized payload");
+    Tensor t = Tensor::uninit(std::move(shape));
     float* p = t.data();
     for (std::size_t j = 0; j < t.numel(); ++j)
       p[j] = mn + float(static_cast<unsigned char>(r.p[j])) * scale;
@@ -335,7 +336,7 @@ std::vector<Tensor> deserialize_topk(const char* data, std::size_t size) {
   std::vector<Tensor> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    Tensor t = read_record_header(r, kTopKMagic, "top-k");
+    Tensor t = Tensor::uninit(read_record_header(r, kTopKMagic, "top-k"));
     const std::uint32_t k = r.take<std::uint32_t>();
     GOLDFISH_CHECK(k <= t.numel(), "top-k k exceeds element count");
     GOLDFISH_CHECK(r.left >= std::size_t(k) * (sizeof(std::uint32_t) +

@@ -9,10 +9,14 @@ namespace goldfish {
 
 std::size_t Tensor::shape_numel(const Shape& shape) {
   std::size_t n = 1;
+  bool zero = false, overflow = false;
   for (long d : shape) {
     GOLDFISH_CHECK(d >= 0, "negative dimension");
-    n *= static_cast<std::size_t>(d);
+    zero |= d == 0;
+    overflow |= __builtin_mul_overflow(n, static_cast<std::size_t>(d), &n);
   }
+  if (zero) return 0;
+  GOLDFISH_CHECK(!overflow, "tensor element count overflows size_t");
   return n;
 }
 

@@ -115,6 +115,10 @@ class Tensor {
   std::size_t numel() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
+  /// Element count of `shape`. Throws CheckError on a negative dimension or
+  /// when the product overflows size_t (any zero dimension gives 0).
+  static std::size_t shape_numel(const Shape& shape);
+
   /// Reinterpret with a new shape of identical element count.
   Tensor reshaped(Shape new_shape) const;
 
@@ -180,8 +184,6 @@ class Tensor {
  private:
   Shape shape_;
   FloatBuffer data_;
-
-  static std::size_t shape_numel(const Shape& shape);
 };
 
 // -- free-function arithmetic (value-returning) ---------------------------

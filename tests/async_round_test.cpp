@@ -1,4 +1,4 @@
-// Buffered-asynchronous federated rounds (FederatedSim::run_async): the
+// Buffered-asynchronous federated rounds (Engine::async_scenario): the
 // virtual-clock schedule must make results bit-identical at any thread
 // count, degenerate to the synchronous path when K = num_clients with
 // constant durations, apply staleness decay through the aggregator stack,
@@ -14,7 +14,7 @@
 #include "core/unlearner.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "nn/models.h"
 #include "tensor/buffer_pool.h"
 
@@ -65,7 +65,7 @@ fl::FlConfig fast_cfg() {
 
 // K = num_clients with constant durations reproduces the synchronous
 // schedule exactly: every aggregation consumes one fresh update per client,
-// in client order. Checked bitwise against run_round for both a plain and
+// in client order. Checked bitwise against sync_scenario for both a plain and
 // an MSE-weighted aggregator, with decay off and (since every staleness is
 // 0, where the decay factor is exactly 1) with decay on.
 TEST(AsyncRound, MatchesSyncWhenBufferEqualsClients) {
@@ -82,14 +82,12 @@ TEST(AsyncRound, MatchesSyncWhenBufferEqualsClients) {
     cfg.async.staleness_alpha = tc.alpha;
 
     Fed fed_sync = make_fed(3, 300, 90, 211);
-    fl::FederatedSim sync(fed_sync.global, fed_sync.parts, fed_sync.test,
-                          cfg);
+    fl::Engine sync(fed_sync.global, fed_sync.parts, fed_sync.test, cfg);
     Fed fed_async = make_fed(3, 300, 90, 211);
-    fl::FederatedSim async(fed_async.global, fed_async.parts, fed_async.test,
-                           cfg);
+    fl::Engine async(fed_async.global, fed_async.parts, fed_async.test, cfg);
 
-    const auto want = sync.run(3);
-    const auto got = async.run_async(3);
+    const auto want = sync.collect(sync.sync_scenario(3));
+    const auto got = async.collect(async.async_scenario(3));
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_TRUE(
@@ -111,7 +109,7 @@ TEST(AsyncRound, MatchesSyncWhenBufferEqualsClients) {
 // with 1, 2 and 8 threads, stragglers and stale updates included.
 TEST(AsyncRound, DeterministicAcrossThreadCounts) {
   std::vector<std::vector<Tensor>> finals;
-  std::vector<std::vector<fl::AsyncRoundResult>> results;
+  std::vector<std::vector<fl::StepResult>> results;
   for (std::size_t threads : {1u, 2u, 8u}) {
     Fed fed = make_fed(4, 400, 100, 223);
     fl::FlConfig cfg = fast_cfg();
@@ -120,9 +118,9 @@ TEST(AsyncRound, DeterministicAcrossThreadCounts) {
     cfg.async.buffer_size = 2;
     cfg.async.duration_log_jitter = 0.5;
     cfg.async.staleness_alpha = 0.5;
-    fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-    results.push_back(sim.run_async(6));
-    finals.push_back(sim.global_model().snapshot());
+    fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+    results.push_back(eng.collect(eng.async_scenario(6)));
+    finals.push_back(eng.global_model().snapshot());
   }
   for (std::size_t i = 1; i < finals.size(); ++i) {
     EXPECT_TRUE(snapshots_bitwise_equal(finals[0], finals[i]));
@@ -148,12 +146,12 @@ TEST(AsyncRound, StragglersProduceStaleUpdates) {
   fl::FlConfig cfg = fast_cfg();
   cfg.async.buffer_size = 2;
   cfg.async.duration_log_jitter = 1.0;
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
 
   // Record the (client, round) RNG steps the async run consumes.
   std::mutex mu;
   long max_async_round = -1;
-  sim.set_client_update([&](std::size_t cid, nn::Model& model,
+  eng.set_client_update([&](std::size_t cid, nn::Model& model,
                             const data::Dataset& ds, long round) {
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -164,7 +162,7 @@ TEST(AsyncRound, StragglersProduceStaleUpdates) {
     fl::train_local(model, ds, opts);
   });
 
-  const auto r = sim.run_async(8);
+  const auto r = eng.collect(eng.async_scenario(8));
   ASSERT_EQ(r.size(), 8u);
   long max_staleness = 0;
   for (const auto& agg : r)
@@ -173,12 +171,10 @@ TEST(AsyncRound, StragglersProduceStaleUpdates) {
   // Virtual time advances monotonically.
   for (std::size_t i = 1; i < r.size(); ++i)
     EXPECT_GE(r[i].virtual_time, r[i - 1].virtual_time);
-  // Fast clients consumed task indices beyond the aggregation count; a
-  // following synchronous round must draw strictly fresh RNG streams, not
-  // reuse any (client, round) step the async run already trained with.
-  const long max_seen_async = max_async_round;
-  const auto next = sim.run_round();
-  EXPECT_GT(next.round, max_seen_async);
+  // Fast clients consumed task indices beyond the aggregation count; the
+  // round counter must move past every (client, round) step the async run
+  // trained with, so the next run draws strictly fresh RNG streams.
+  EXPECT_GT(eng.rounds_completed(), max_async_round);
 }
 
 // A deletion request arriving mid-buffer (built by the unlearning driver's
@@ -191,12 +187,12 @@ TEST(AsyncRound, DeletionMidBufferEvictsAndRetrains) {
   fl::FlConfig cfg = fast_cfg();
   cfg.async.buffer_size = 3;
   cfg.async.duration_log_jitter = 0.0;  // everyone completes at t=1,2,3,...
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
 
   // Record every local-training call: (client, rows trained on).
   std::mutex mu;
   std::vector<std::pair<std::size_t, long>> calls;
-  sim.set_client_update([&](std::size_t cid, nn::Model& model,
+  eng.set_client_update([&](std::size_t cid, nn::Model& model,
                             const data::Dataset& ds, long round) {
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -213,17 +209,17 @@ TEST(AsyncRound, DeletionMidBufferEvictsAndRetrains) {
   core::UnlearnRequest req;
   req.client_id = 0;
   req.rows = {0, 1, 2};
-  auto plan = core::make_async_deletion(sim, req, 0.5);
+  auto plan = core::make_async_deletion(eng, req, 0.5);
   EXPECT_EQ(plan.removed.size(), 3);
 
-  std::vector<fl::AsyncDeletion> dels;
+  std::vector<fl::DeletionEvent> dels;
   dels.push_back(std::move(plan.event));
-  const auto r = sim.run_async(2, std::move(dels));
+  const auto r = eng.collect(eng.async_scenario(2, std::move(dels)));
   ASSERT_EQ(r.size(), 2u);
   // Exactly one update (client 0's poisoned first task) was dropped.
   EXPECT_EQ(r.back().dropped_updates, 1);
-  // The sim's view of client 0 is durably the remaining data.
-  EXPECT_EQ(sim.client_data(0).size(), full_rows - 3);
+  // The engine's view of client 0 is durably the remaining data.
+  EXPECT_EQ(eng.client_data(0).size(), full_rows - 3);
   // Client 0 trained once on the full set (the voided task) and afterwards
   // only on the remaining rows; no aggregated update saw deleted data after
   // the trigger.
@@ -238,15 +234,16 @@ TEST(AsyncRound, DeletionMidBufferEvictsAndRetrains) {
 
   // A second deletion for the same client within one run would have been
   // split from the same pre-run dataset and resurrect the first one's
-  // deleted rows; run_async rejects it loudly. (Sequential deletions go in
+  // deleted rows; the engine rejects it loudly. (Sequential deletions go in
   // separate runs, where the split sees the already-shrunk data.)
   core::UnlearnRequest req2;
   req2.client_id = 1;
   req2.rows = {0};
-  std::vector<fl::AsyncDeletion> twice;
-  twice.push_back(std::move(core::make_async_deletion(sim, req2, 1.0).event));
-  twice.push_back(std::move(core::make_async_deletion(sim, req2, 2.0).event));
-  EXPECT_THROW(sim.run_async(1, std::move(twice)), CheckError);
+  std::vector<fl::DeletionEvent> twice;
+  twice.push_back(std::move(core::make_async_deletion(eng, req2, 1.0).event));
+  twice.push_back(std::move(core::make_async_deletion(eng, req2, 2.0).event));
+  EXPECT_THROW(eng.collect(eng.async_scenario(1, std::move(twice))),
+               CheckError);
 }
 
 // Steady-state async aggregation touches the heap exactly zero times, like
@@ -258,11 +255,11 @@ TEST(AsyncRound, SteadyStateAllocatesNothing) {
   fl::FlConfig cfg = fast_cfg();
   cfg.local.batch_size = 25;
   cfg.async.buffer_size = 2;
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-  sim.run_async(3);  // warm-up: pool, arenas, recycler
-  sim.run_async(3);
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+  eng.run(eng.async_scenario(3), {});  // warm-up: pool, arenas, recycler
+  eng.run(eng.async_scenario(3), {});
   const std::size_t before = alloc_stats::heap_allocations();
-  sim.run_async(3);
+  eng.run(eng.async_scenario(3), {});
   EXPECT_EQ(alloc_stats::heap_allocations() - before, 0u);
 }
 

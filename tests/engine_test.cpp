@@ -1,7 +1,7 @@
 // The event-driven fl::Engine: config validation at construction, scenario
 // timelines (joins, leaves, aggregator swaps, deletions), participation /
 // buffer / clock policies, determinism across thread counts, equivalence of
-// the canned bundles with the legacy entry points, and the in-flight
+// the canned bundles with explicitly assembled scenarios, and the in-flight
 // set_client_data guard.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include "core/unlearner.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "nn/models.h"
 #include "tensor/buffer_pool.h"
 
@@ -69,7 +69,7 @@ fl::FlConfig fast_cfg() {
 TEST(FlConfigValidation, RejectsEachBadFieldWithInvalidArgument) {
   Fed fed = make_fed(3, 120, 30, 301);
   const auto construct = [&](fl::FlConfig cfg) {
-    fl::FederatedSim sim(fed.global, fed.parts, fed.test, std::move(cfg));
+    fl::Engine eng(fed.global, fed.parts, fed.test, std::move(cfg));
   };
 
   construct(fast_cfg());  // the baseline config itself is valid
@@ -146,7 +146,7 @@ TEST(FlConfigValidation, MessagesNameTheField) {
   fl::FlConfig bad = fast_cfg();
   bad.aggregator = "geometric-median";
   try {
-    fl::FederatedSim sim(fed.global, fed.parts, fed.test, bad);
+    fl::Engine eng(fed.global, fed.parts, fed.test, bad);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("geometric-median"),
@@ -157,7 +157,7 @@ TEST(FlConfigValidation, MessagesNameTheField) {
   bad = fast_cfg();
   bad.robust.trim_fraction = 0.75;
   try {
-    fl::FederatedSim sim(fed.global, fed.parts, fed.test, bad);
+    fl::Engine eng(fed.global, fed.parts, fed.test, bad);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("trim_fraction"), std::string::npos);
@@ -168,17 +168,17 @@ TEST(FlConfigValidation, MessagesNameTheField) {
 
 TEST(EngineGuards, SetClientDataRejectedWhileRunInFlight) {
   Fed fed = make_fed(2, 100, 30, 305);
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, fast_cfg());
+  fl::Engine eng(fed.global, fed.parts, fed.test, fast_cfg());
   data::Dataset replacement = fed.parts[0].subset({0, 1, 2});
 
   // From inside a client update the run is in flight by definition; the
   // mutation must be rejected (it could race another client's training
   // task) instead of silently corrupting the round.
   std::atomic<int> rejected{0};
-  sim.set_client_update([&](std::size_t cid, nn::Model& model,
+  eng.set_client_update([&](std::size_t cid, nn::Model& model,
                             const data::Dataset& ds, long round) {
     try {
-      sim.set_client_data(0, replacement);
+      eng.set_client_data(0, replacement);
     } catch (const std::logic_error&) {
       rejected.fetch_add(1);
     }
@@ -189,14 +189,14 @@ TEST(EngineGuards, SetClientDataRejectedWhileRunInFlight) {
     opts.seed = mix_seed(7, cid, static_cast<std::uint64_t>(round));
     fl::train_local(model, ds, opts);
   });
-  sim.run_round();
+  eng.run(eng.sync_scenario(1), {});
   EXPECT_EQ(rejected.load(), 2);  // both clients hit the guard
-  EXPECT_EQ(sim.client_data(0).size(), fed.parts[0].size());  // untouched
+  EXPECT_EQ(eng.client_data(0).size(), fed.parts[0].size());  // untouched
 
   // Outside a run the setter works as before.
-  EXPECT_FALSE(sim.engine().running());
-  sim.set_client_data(0, replacement);
-  EXPECT_EQ(sim.client_data(0).size(), 3);
+  EXPECT_FALSE(eng.running());
+  eng.set_client_data(0, replacement);
+  EXPECT_EQ(eng.client_data(0).size(), 3);
 }
 
 // -- participation policies ------------------------------------------------
@@ -211,11 +211,11 @@ TEST(Participation, FullPolicyReproducesRunAsyncGoldenStream) {
   cfg.async.staleness_alpha = 0.5;
 
   Fed fed_a = make_fed(4, 240, 60, 307);
-  fl::FederatedSim legacy(fed_a.global, fed_a.parts, fed_a.test, cfg);
-  const auto want = legacy.run_async(5);
+  fl::Engine legacy(fed_a.global, fed_a.parts, fed_a.test, cfg);
+  const auto want = legacy.collect(legacy.async_scenario(5));
 
   Fed fed_b = make_fed(4, 240, 60, 307);
-  fl::FederatedSim sim(fed_b.global, fed_b.parts, fed_b.test, cfg);
+  fl::Engine eng(fed_b.global, fed_b.parts, fed_b.test, cfg);
   fl::Scenario s;
   s.aggregations = 5;
   s.participation = std::make_unique<fl::FullParticipation>();
@@ -223,7 +223,7 @@ TEST(Participation, FullPolicyReproducesRunAsyncGoldenStream) {
   s.clock = std::make_unique<fl::VirtualClock>(
       cfg.seed, cfg.async.mean_duration, cfg.async.duration_log_jitter);
   s.staleness_alpha = cfg.async.staleness_alpha;
-  const auto got = sim.engine().collect(std::move(s));
+  const auto got = eng.collect(std::move(s));
 
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -237,7 +237,7 @@ TEST(Participation, FullPolicyReproducesRunAsyncGoldenStream) {
     EXPECT_EQ(got[i].aggregator, "fedavg+staleness");
   }
   EXPECT_TRUE(snapshots_bitwise_equal(legacy.global_model().snapshot(),
-                                      sim.global_model().snapshot()));
+                                      eng.global_model().snapshot()));
 }
 
 // Seeded uniform sampling: the cohort of each server version is a pure
@@ -427,11 +427,11 @@ TEST(ScenarioTimeline, ClientJoinGrowsTheFederationDurably) {
   fl::FlConfig cfg = fast_cfg();
   cfg.async.buffer_size = 3;
   cfg.async.duration_log_jitter = 0.0;
-  fl::FederatedSim sim(global, initial, tt.test, cfg);
+  fl::Engine eng(global, initial, tt.test, cfg);
 
   std::mutex mu;
   std::set<std::size_t> trained;
-  sim.set_client_update([&](std::size_t cid, nn::Model& model,
+  eng.set_client_update([&](std::size_t cid, nn::Model& model,
                             const data::Dataset& ds, long round) {
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -442,16 +442,16 @@ TEST(ScenarioTimeline, ClientJoinGrowsTheFederationDurably) {
     fl::train_local(model, ds, opts);
   });
 
-  fl::Scenario s = sim.engine().async_scenario(3);
+  fl::Scenario s = eng.async_scenario(3);
   s.joins.push_back({/*time=*/1.5, parts[3]});
-  const auto steps = sim.engine().collect(std::move(s));
+  const auto steps = eng.collect(std::move(s));
   ASSERT_EQ(steps.size(), 3u);
   EXPECT_EQ(steps[0].active_clients, 3u);   // aggregated at t=1, pre-join
   EXPECT_EQ(steps.back().active_clients, 4u);
   EXPECT_TRUE(trained.count(3));            // the joiner really trained
   // Durable: the engine's federation now includes the client.
-  EXPECT_EQ(sim.num_clients(), 4u);
-  EXPECT_EQ(sim.client_data(3).size(), parts[3].size());
+  EXPECT_EQ(eng.num_clients(), 4u);
+  EXPECT_EQ(eng.client_data(3).size(), parts[3].size());
 }
 
 TEST(ScenarioTimeline, ClientLeaveVoidsInFlightAndDeactivates) {
@@ -459,23 +459,23 @@ TEST(ScenarioTimeline, ClientLeaveVoidsInFlightAndDeactivates) {
   fl::FlConfig cfg = fast_cfg();
   cfg.async.buffer_size = 2;
   cfg.async.duration_log_jitter = 0.0;  // completions at t = 1, 2, 3, ...
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
 
-  fl::Scenario s = sim.engine().async_scenario(3);
+  fl::Scenario s = eng.async_scenario(3);
   // Client 2 leaves at t=0.5, before its first task completes: the task is
   // voided (the device is gone) and the client never trains again.
   s.leaves.push_back({0.5, 2});
-  const auto steps = sim.engine().collect(std::move(s));
+  const auto steps = eng.collect(std::move(s));
   ASSERT_EQ(steps.size(), 3u);
   EXPECT_EQ(steps.back().dropped_updates, 1);
   for (const auto& st : steps) EXPECT_EQ(st.active_clients, 2u);
-  EXPECT_EQ(sim.engine().active_clients(), 2u);  // durable
-  EXPECT_EQ(sim.num_clients(), 3u);  // still registered, data kept
+  EXPECT_EQ(eng.active_clients(), 2u);  // durable
+  EXPECT_EQ(eng.num_clients(), 3u);  // still registered, data kept
 
   // Later synchronous rounds train only the two remaining clients.
-  const auto r = sim.run_round();
+  const auto r = eng.collect(eng.sync_scenario(1)).back();
   EXPECT_GT(r.global_accuracy, 0.0);
-  EXPECT_EQ(sim.engine().active_clients(), 2u);
+  EXPECT_EQ(eng.active_clients(), 2u);
 }
 
 TEST(ScenarioTimeline, AggregatorSwapTakesEffectMidRun) {
@@ -494,11 +494,11 @@ TEST(ScenarioTimeline, AggregatorSwapTakesEffectMidRun) {
   cfg.aggregator = "fedavg";
 
   const auto run_with = [&](bool swap) {
-    fl::FederatedSim sim(global, clients, tt.test, cfg);
-    fl::Scenario s = sim.engine().sync_scenario(3, /*local_accuracy=*/false);
+    fl::Engine eng(global, clients, tt.test, cfg);
+    fl::Scenario s = eng.sync_scenario(3, /*local_accuracy=*/false);
     if (swap) s.aggregator_swaps.push_back({1.5, "uniform"});
-    auto steps = sim.engine().collect(std::move(s));
-    return std::make_pair(std::move(steps), sim.global_model().snapshot());
+    auto steps = eng.collect(std::move(s));
+    return std::make_pair(std::move(steps), eng.global_model().snapshot());
   };
 
   const auto [plain, plain_final] = run_with(false);
@@ -516,25 +516,25 @@ TEST(ScenarioTimeline, AggregatorSwapTakesEffectMidRun) {
 
 TEST(ScenarioTimeline, RejectsMalformedEvents) {
   Fed fed = make_fed(2, 100, 30, 353);
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, fast_cfg());
+  fl::Engine eng(fed.global, fed.parts, fed.test, fast_cfg());
   {
-    fl::Scenario s = sim.engine().async_scenario(1);
+    fl::Scenario s = eng.async_scenario(1);
     s.leaves.push_back({0.5, 7});  // unknown client
-    EXPECT_THROW(sim.engine().collect(std::move(s)), CheckError);
+    EXPECT_THROW(eng.collect(std::move(s)), CheckError);
   }
   {
-    fl::Scenario s = sim.engine().async_scenario(1);
+    fl::Scenario s = eng.async_scenario(1);
     s.joins.push_back({0.5, data::Dataset{}});  // empty dataset
-    EXPECT_THROW(sim.engine().collect(std::move(s)), CheckError);
+    EXPECT_THROW(eng.collect(std::move(s)), CheckError);
   }
   {
-    fl::Scenario s = sim.engine().async_scenario(1);
+    fl::Scenario s = eng.async_scenario(1);
     s.aggregator_swaps.push_back({0.5, "geometric-median"});  // unknown
-    EXPECT_THROW(sim.engine().collect(std::move(s)), CheckError);
+    EXPECT_THROW(eng.collect(std::move(s)), CheckError);
   }
   {
-    fl::Scenario s = sim.engine().async_scenario(-1);
-    EXPECT_THROW(sim.engine().collect(std::move(s)), CheckError);
+    fl::Scenario s = eng.async_scenario(-1);
+    EXPECT_THROW(eng.collect(std::move(s)), CheckError);
   }
 }
 
@@ -556,19 +556,19 @@ TEST(ComposedScenarios, SamplingAdaptiveKDeletionDeterministic) {
     fl::FlConfig cfg = fast_cfg();
     cfg.threads = threads;
     cfg.async.duration_log_jitter = 0.5;
-    fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
+    fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
 
     core::UnlearnRequest req;
     req.client_id = 1;
     req.rows = {0, 1, 2, 3};
-    auto plan = core::make_async_deletion(sim, req, 1.25);
+    auto plan = core::make_async_deletion(eng, req, 1.25);
     std::vector<fl::DeletionEvent> dels;
     dels.push_back(std::move(plan.event));
 
-    results.push_back(sim.engine().collect(
-        combo_scenario(sim.engine(), 5, 0.75, std::move(dels))));
-    finals.push_back(sim.global_model().snapshot());
-    EXPECT_EQ(sim.client_data(1).size(), fed.parts[1].size() - 4);
+    results.push_back(
+        eng.collect(combo_scenario(eng, 5, 0.75, std::move(dels))));
+    finals.push_back(eng.global_model().snapshot());
+    EXPECT_EQ(eng.client_data(1).size(), fed.parts[1].size() - 4);
   }
   ASSERT_EQ(results[0].size(), 5u);
   for (std::size_t i = 1; i < finals.size(); ++i) {
@@ -591,8 +591,7 @@ TEST(ComposedScenarios, PolicyAxesComposeFreely) {
   Fed fed = make_fed(4, 240, 60, 367);
   fl::FlConfig cfg = fast_cfg();
   cfg.async.duration_log_jitter = 0.5;
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-  fl::Engine& eng = sim.engine();
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
 
   // 1: sampling × fixed K.
   {
@@ -606,7 +605,7 @@ TEST(ComposedScenarios, PolicyAxesComposeFreely) {
     core::UnlearnRequest req;
     req.client_id = 0;
     req.rows = {0, 1};
-    auto plan = core::make_async_deletion(sim, req, 0.75);
+    auto plan = core::make_async_deletion(eng, req, 0.75);
     fl::Scenario s = eng.async_scenario(3);
     s.buffer = std::make_unique<fl::AdaptiveBuffer>(3, 2, 4, 1);
     s.deletions.push_back(std::move(plan.event));
@@ -624,8 +623,8 @@ TEST(ComposedScenarios, PolicyAxesComposeFreely) {
     const auto steps = eng.collect(std::move(s));
     ASSERT_EQ(steps.size(), 3u);
   }
-  // The engine survives it all and keeps serving the legacy entry points.
-  const auto r = sim.run_round();
+  // The engine survives it all and keeps serving synchronous rounds.
+  const auto r = eng.collect(eng.sync_scenario(1)).back();
   EXPECT_GT(r.global_accuracy, 0.0);
 }
 
@@ -639,8 +638,7 @@ TEST(ComposedScenarios, SteadyStateAllocatesNothing) {
   fl::FlConfig cfg = fast_cfg();
   cfg.local.batch_size = 25;
   cfg.async.duration_log_jitter = 0.5;
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-  fl::Engine& eng = sim.engine();
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
 
   const auto one_run = [&] {
     return eng.collect(combo_scenario(eng, 3, 0.75, {}));
@@ -666,9 +664,9 @@ TEST(UnlearnerEngine, AsyncDistillationScenarioRuns) {
   nn::Model global = fresh;
   {
     fl::FlConfig cfg = fast_cfg();
-    fl::FederatedSim sim(global, clients, tt.test, cfg);
-    sim.run(2);
-    global = sim.global_model();
+    fl::Engine eng(global, clients, tt.test, cfg);
+    eng.run(eng.sync_scenario(2), {});
+    global = eng.global_model();
   }
 
   core::UnlearnConfig cfg;

@@ -94,9 +94,9 @@ TEST(MembershipInference, UnlearningReducesAttack) {
   cfg.local.epochs = 10;
   cfg.local.batch_size = 50;
   cfg.local.lr = 0.05f;
-  fl::FederatedSim sim(global, parts, tt.test, cfg);
-  sim.run(3);
-  global = sim.global_model();
+  fl::Engine eng(global, parts, tt.test, cfg);
+  eng.run(eng.sync_scenario(3), {});
+  global = eng.global_model();
 
   std::vector<std::size_t> rows;
   for (std::size_t i = 0; i < 60; ++i) rows.push_back(i);
@@ -121,7 +121,7 @@ TEST(MembershipInference, UnlearningReducesAttack) {
 
 // -- sharded client fleet -----------------------------------------------------
 
-TEST(ShardedFleet, IntegratesWithFederatedSim) {
+TEST(ShardedFleet, IntegratesWithEngine) {
   // 750 rows per client / 250 per shard: enough for shard models to train
   // (see the Fig. 6 sizing rationale).
   auto spec = data::default_spec(data::DatasetKind::Mnist, 161, 1500, 200);
@@ -137,13 +137,13 @@ TEST(ShardedFleet, IntegratesWithFederatedSim) {
   ASSERT_EQ(fleet.num_clients(), 2u);
 
   fl::FlConfig cfg;
-  fl::FederatedSim sim(init, parts, tt.test, cfg);
+  fl::Engine eng(init, parts, tt.test, cfg);
   fl::TrainOptions opts;
   opts.epochs = 2;
   opts.batch_size = 50;
   opts.lr = 0.05f;
-  sim.set_client_update(fleet.update_fn(opts));
-  const auto rounds = sim.run(3);
+  eng.set_client_update(fleet.update_fn(opts));
+  const auto rounds = eng.collect(eng.sync_scenario(3));
   EXPECT_GT(rounds.back().global_accuracy, 55.0);
 }
 

@@ -9,7 +9,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "metrics/evaluation.h"
 #include "nn/models.h"
 
@@ -195,17 +195,17 @@ TEST(Simulation, AccuracyImprovesOverRounds) {
   cfg.local.epochs = 3;
   cfg.local.batch_size = 50;
   cfg.local.lr = 0.05f;
-  fl::FederatedSim sim(global, parts, tt.test, cfg);
-  const auto results = sim.run(4);
+  fl::Engine eng(global, parts, tt.test, cfg);
+  const auto results = eng.collect(eng.sync_scenario(4));
   ASSERT_EQ(results.size(), 4u);
   EXPECT_GT(results.back().global_accuracy,
             results.front().global_accuracy);
   EXPECT_GT(results.back().global_accuracy, 40.0);
   // Wire bytes: 3 clients × model params × 4 bytes (plus headers).
   EXPECT_GT(results[0].bytes_uplinked, 3u * global.num_scalars() * 4u);
-  // Round numbering monotone.
-  EXPECT_EQ(results[0].round, 0);
-  EXPECT_EQ(results[3].round, 3);
+  // Step numbering monotone.
+  EXPECT_EQ(results[0].step, 0);
+  EXPECT_EQ(results[3].step, 3);
 }
 
 TEST(Simulation, CustomClientUpdateIsUsed) {
@@ -215,18 +215,18 @@ TEST(Simulation, CustomClientUpdateIsUsed) {
   auto parts = data::partition_iid(tt.train, 2, rng);
   nn::Model global = nn::make_mlp({1, 28, 28}, 16, 10, rng);
   fl::FlConfig cfg;
-  fl::FederatedSim sim(global, parts, tt.test, cfg);
+  fl::Engine eng(global, parts, tt.test, cfg);
   std::atomic<int> called{0};
   std::set<std::size_t> ids;
   std::mutex mu;
-  sim.set_client_update([&](std::size_t cid, nn::Model&,
+  eng.set_client_update([&](std::size_t cid, nn::Model&,
                             const data::Dataset&, long round) {
     called.fetch_add(1);
     std::lock_guard<std::mutex> lock(mu);
     ids.insert(cid);
     EXPECT_EQ(round, 0);
   });
-  sim.run_round();
+  eng.run(eng.sync_scenario(1), {});
   EXPECT_EQ(called.load(), 2);
   EXPECT_EQ(ids.size(), 2u);
 }
@@ -241,8 +241,8 @@ TEST(Simulation, AdaptiveAggregationRuns) {
   cfg.aggregator = "adaptive";
   cfg.local.epochs = 1;
   cfg.local.lr = 0.01f;
-  fl::FederatedSim sim(global, parts, tt.test, cfg);
-  const auto r = sim.run(2);
+  fl::Engine eng(global, parts, tt.test, cfg);
+  const auto r = eng.collect(eng.sync_scenario(2));
   EXPECT_GT(r.back().global_accuracy, 15.0);
 }
 
@@ -253,11 +253,11 @@ TEST(Simulation, SetClientDataReplaces) {
   auto parts = data::partition_iid(tt.train, 2, rng);
   nn::Model global = nn::make_mlp({1, 28, 28}, 8, 10, rng);
   fl::FlConfig cfg;
-  fl::FederatedSim sim(global, parts, tt.test, cfg);
+  fl::Engine eng(global, parts, tt.test, cfg);
   data::Dataset smaller = parts[0].subset({0, 1, 2});
-  sim.set_client_data(0, smaller);
-  EXPECT_EQ(sim.client_data(0).size(), 3);
-  EXPECT_THROW(sim.set_client_data(5, smaller), CheckError);
+  eng.set_client_data(0, smaller);
+  EXPECT_EQ(eng.client_data(0).size(), 3);
+  EXPECT_THROW(eng.set_client_data(5, smaller), CheckError);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "nn/models.h"
 #include "runtime/scheduler.h"
 

@@ -10,6 +10,43 @@
 namespace goldfish {
 namespace {
 
+namespace fixtures {
+
+void append_u32(std::string& s, std::uint32_t v) {
+  s.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+void append_i64(std::string& s, std::int64_t v) {
+  s.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+void append_f32(std::string& s, float v) {
+  s.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// One record header (magic, rank, dims) followed by `payload` zero bytes:
+/// a crafted input whose dims promise far more data than it carries.
+std::string record(std::uint32_t magic,
+                   std::initializer_list<std::int64_t> dims,
+                   std::size_t payload) {
+  std::string s;
+  append_u32(s, magic);
+  append_u32(s, static_cast<std::uint32_t>(dims.size()));
+  for (std::int64_t d : dims) append_i64(s, d);
+  s.append(payload, '\0');
+  return s;
+}
+
+/// A one-tensor list around record(...).
+std::string list_of(const std::string& rec) {
+  std::string s;
+  append_u32(s, 1);
+  return s + rec;
+}
+
+constexpr std::uint32_t kDense = 0x31544647;      // "GFT1"
+constexpr std::uint32_t kQuantized = 0x31514647;  // "GFQ1"
+
+}  // namespace fixtures
+
 TEST(Serialize, StreamRoundTrip) {
   Rng rng(1);
   Tensor t = Tensor::randn({3, 4, 5}, rng);
@@ -104,6 +141,25 @@ TEST(Serialize, DeserializeRejectsCorruptBuffers) {
   std::string bad = buf;
   bad[4] ^= 0x5A;  // corrupt the first tensor's magic
   EXPECT_THROW(deserialize_tensors(bad.data(), bad.size()), CheckError);
+
+  // Dims whose product wraps size_t to 0 (2^31 · 2^31 · 4 = 2^64), and dims
+  // promising 4 TiB from a 4-byte payload: both are typed errors, checked
+  // before anything is allocated.
+  const std::string wraps =
+      fixtures::record(fixtures::kDense, {1L << 31, 1L << 31, 4}, 8);
+  const std::string huge =
+      fixtures::record(fixtures::kDense, {1L << 20, 1L << 20}, 4);
+  for (const std::string& rec : {wraps, huge}) {
+    const std::string list = fixtures::list_of(rec);
+    EXPECT_THROW(deserialize_tensors(list.data(), list.size()), CheckError);
+    Tensor t;
+    std::size_t offset = 0;
+    EXPECT_THROW(read_tensor_record_into(rec.data(), rec.size(), &offset, t),
+                 CheckError);
+    EXPECT_EQ(offset, 0u);
+  }
+  EXPECT_EQ(fixtures::list_of(wraps).size(), 44u);
+  EXPECT_EQ(fixtures::list_of(huge).size(), 32u);
 }
 
 // -- compressed wire records (GFQ1 / GFK1) ----------------------------------
@@ -111,20 +167,6 @@ TEST(Serialize, DeserializeRejectsCorruptBuffers) {
 // The byte-level fixtures below are the executable counterpart of
 // docs/wire-format.md: every offset and value asserted here appears in the
 // spec's worked examples. Changing the wire format must update both.
-
-namespace fixtures {
-
-void append_u32(std::string& s, std::uint32_t v) {
-  s.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void append_i64(std::string& s, std::int64_t v) {
-  s.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void append_f32(std::string& s, float v) {
-  s.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-}  // namespace fixtures
 
 TEST(SerializeQuantized, ByteLayoutMatchesSpecFixture) {
   // docs/wire-format.md, "GFQ1 worked example": [0, 1, 2, 3] as shape {4}.
@@ -200,6 +242,14 @@ TEST(SerializeQuantized, RejectsCorruptBuffers) {
   std::string dense;
   serialize_tensors(ts, dense);
   EXPECT_THROW(deserialize_quantized(dense.data(), dense.size()), CheckError);
+  // Crafted headers followed by min, scale and at most 4 level bytes: an
+  // element count that wraps size_t to 0, and 2^40 levels.
+  for (const std::string& rec :
+       {fixtures::record(fixtures::kQuantized, {1L << 31, 1L << 31, 4}, 8),
+        fixtures::record(fixtures::kQuantized, {1L << 20, 1L << 20}, 12)}) {
+    const std::string list = fixtures::list_of(rec);
+    EXPECT_THROW(deserialize_quantized(list.data(), list.size()), CheckError);
+  }
 }
 
 TEST(SerializeTopK, ByteLayoutMatchesSpecFixture) {

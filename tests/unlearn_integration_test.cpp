@@ -47,9 +47,9 @@ struct Scenario {
     cfg.local.epochs = 4;
     cfg.local.batch_size = 50;
     cfg.local.lr = 0.05f;
-    fl::FederatedSim sim(trained, parts, tt.test, cfg);
-    sim.run(6);
-    trained = sim.global_model();
+    fl::Engine eng(trained, parts, tt.test, cfg);
+    eng.run(eng.sync_scenario(6), {});
+    trained = eng.global_model();
   }
 };
 
@@ -114,9 +114,9 @@ TEST(Integration, UnlearnedModelStatisticallyCloseToRetrain) {
   fl::FlConfig b1cfg;
   b1cfg.local.epochs = 3;
   b1cfg.local.lr = 0.02f;
-  fl::FederatedSim sim(b1, remaining, s.tt.test, b1cfg);
-  sim.run(4);
-  b1 = sim.global_model();
+  fl::Engine eng(b1, remaining, s.tt.test, b1cfg);
+  eng.run(eng.sync_scenario(4), {});
+  b1 = eng.global_model();
 
   // Tables VII–IX metrics: unlearned vs retrained distributions are close.
   const auto p_ours = metrics::mean_prediction(ul.global_model(), s.tt.test);

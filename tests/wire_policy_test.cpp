@@ -14,7 +14,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "nn/models.h"
 #include "tensor/serialize.h"
 
@@ -348,13 +348,13 @@ TEST(WireEngine, LossyWiresShrinkUploadsWithinAccuracyTolerance) {
 }
 
 TEST(WireEngine, RunAsyncProjectsWireTelemetry) {
-  // The legacy facade reports the new fields too: dense wire, so real bytes
-  // and zero injected error.
+  // The canned async bundle reports wire telemetry too: dense wire, so real
+  // bytes and zero injected error.
   Fed fed = make_fed(3, 180, 45, 707);
   fl::FlConfig cfg = fast_cfg();
   cfg.async.buffer_size = 2;
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-  const auto steps = sim.run_async(3);
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+  const auto steps = eng.collect(eng.async_scenario(3));
   ASSERT_EQ(steps.size(), 3u);
   for (const auto& s : steps) {
     EXPECT_GT(s.upload_bytes, 0u);

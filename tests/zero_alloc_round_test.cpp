@@ -11,7 +11,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/simulation.h"
+#include "fl/engine.h"
 #include "metrics/evaluation.h"
 #include "nn/models.h"
 #include "tensor/buffer_pool.h"
@@ -55,14 +55,22 @@ Fed make_fed(const char* arch, long clients, long train_rows, long test_rows,
   return fed;
 }
 
+// One synchronous round on the engine (the canned sync bundle, with the
+// local-accuracy block).
+fl::StepResult run_round(fl::Engine& eng) {
+  fl::StepResult out;
+  eng.run(eng.sync_scenario(1), [&](const fl::StepResult& s) { out = s; });
+  return out;
+}
+
 // The pre-pool round, replicated verbatim (modulo the per-client seed mix,
 // regenerated to the collision-free mix_seed golden stream): deep model copy
-// per client, stringstream wire path, per-client evaluation. run_round must
-// match it bit for bit.
-fl::RoundResult reference_round(nn::Model& global,
-                                const std::vector<data::Dataset>& clients,
-                                const data::Dataset& test,
-                                const fl::FlConfig& cfg, long round) {
+// per client, stringstream wire path, per-client evaluation. The engine's
+// synchronous step must match it bit for bit.
+fl::StepResult reference_round(nn::Model& global,
+                               const std::vector<data::Dataset>& clients,
+                               const data::Dataset& test,
+                               const fl::FlConfig& cfg, long round) {
   const std::size_t n = clients.size();
   std::vector<fl::ClientUpdate> updates(n);
   std::vector<double> local_acc(n, 0.0);
@@ -101,8 +109,8 @@ fl::RoundResult reference_round(nn::Model& global,
 
   global.load(agg->aggregate(updates));
 
-  fl::RoundResult r;
-  r.round = round;
+  fl::StepResult r;
+  r.step = round;
   r.global_accuracy = metrics::accuracy(global, test);
   r.bytes_uplinked = bytes.load();
   r.min_local_accuracy = *std::min_element(local_acc.begin(), local_acc.end());
@@ -113,8 +121,8 @@ fl::RoundResult reference_round(nn::Model& global,
   return r;
 }
 
-void expect_rounds_bitwise_equal(const fl::RoundResult& a,
-                                 const fl::RoundResult& b) {
+void expect_rounds_bitwise_equal(const fl::StepResult& a,
+                                 const fl::StepResult& b) {
   EXPECT_TRUE(bits_equal(a.global_accuracy, b.global_accuracy));
   EXPECT_TRUE(bits_equal(a.min_local_accuracy, b.min_local_accuracy));
   EXPECT_TRUE(bits_equal(a.max_local_accuracy, b.max_local_accuracy));
@@ -132,14 +140,14 @@ TEST(ZeroAllocRound, MatchesLegacyPathBitwiseMlp) {
     cfg.local.epochs = 2;
     cfg.local.batch_size = 50;
     cfg.local.lr = 0.05f;
-    fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
+    fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
     for (long r = 0; r < 3; ++r) {
-      const auto got = sim.run_round();
+      const auto got = run_round(eng);
       const auto want =
           reference_round(ref_global, fed.parts, fed.test, cfg, r);
       expect_rounds_bitwise_equal(got, want);
     }
-    EXPECT_TRUE(snapshots_bitwise_equal(sim.global_model().snapshot(),
+    EXPECT_TRUE(snapshots_bitwise_equal(eng.global_model().snapshot(),
                                         ref_global.snapshot()));
   }
 }
@@ -152,19 +160,19 @@ TEST(ZeroAllocRound, MatchesLegacyPathBitwiseConv) {
   cfg.local.epochs = 1;
   cfg.local.batch_size = 30;
   cfg.local.lr = 0.05f;
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
   for (long r = 0; r < 2; ++r) {
-    const auto got = sim.run_round();
+    const auto got = run_round(eng);
     const auto want = reference_round(ref_global, fed.parts, fed.test, cfg, r);
     expect_rounds_bitwise_equal(got, want);
   }
-  EXPECT_TRUE(snapshots_bitwise_equal(sim.global_model().snapshot(),
+  EXPECT_TRUE(snapshots_bitwise_equal(eng.global_model().snapshot(),
                                       ref_global.snapshot()));
 }
 
 TEST(ZeroAllocRound, DeterministicAcrossThreadCounts) {
   std::vector<std::vector<Tensor>> finals;
-  std::vector<fl::RoundResult> lasts;
+  std::vector<fl::StepResult> lasts;
   for (std::size_t threads : {1u, 2u, 8u}) {
     Fed fed = make_fed("mlp16", 4, 400, 100, 107);
     fl::FlConfig cfg;
@@ -172,10 +180,10 @@ TEST(ZeroAllocRound, DeterministicAcrossThreadCounts) {
     cfg.local.epochs = 1;
     cfg.local.batch_size = 50;
     cfg.local.lr = 0.05f;
-    fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-    fl::RoundResult last;
-    for (long r = 0; r < 3; ++r) last = sim.run_round();
-    finals.push_back(sim.global_model().snapshot());
+    fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+    fl::StepResult last;
+    for (long r = 0; r < 3; ++r) last = run_round(eng);
+    finals.push_back(eng.global_model().snapshot());
     lasts.push_back(last);
   }
   for (std::size_t i = 1; i < finals.size(); ++i) {
@@ -240,27 +248,59 @@ TEST(ZeroAllocRound, SteadyStateRoundsAllocateNothing) {
     fl::FlConfig cfg;
     cfg.local.epochs = 1;
     cfg.local.batch_size = 25;
-    fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-    sim.run_round();  // warm-up: pool, arenas, recycler all sized here
-    sim.run_round();
+    fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+    run_round(eng);  // warm-up: pool, arenas, recycler all sized here
+    run_round(eng);
     for (long r = 0; r < 2; ++r) {
       const std::size_t before = alloc_stats::heap_allocations();
-      sim.run_round();
+      run_round(eng);
       EXPECT_EQ(alloc_stats::heap_allocations() - before, 0u)
           << arch << " round " << r;
     }
   }
 }
 
+// A task marked BufferPoolProvision(c) parks c spare blocks for every block
+// it holds beyond what any earlier task held, so c + 1 tasks holding the
+// same buffers at once all find them parked, however the earlier tasks
+// happened to be scheduled.
+TEST(ZeroAllocRound, ProvisionParksBuffersForConcurrentTasks) {
+  if (!alloc_stats::enabled())
+    GTEST_SKIP() << "built without GOLDFISH_ALLOC_STATS";
+  BufferPoolScope scope;
+  const auto hold_two = [] {
+    std::vector<Tensor> held;
+    held.push_back(Tensor::uninit({1237}));
+    held.push_back(Tensor::uninit({1237}));
+    return held;
+  };
+  std::size_t before = alloc_stats::heap_allocations();
+  {
+    BufferPoolProvision task(3);
+    hold_two();
+  }
+  EXPECT_EQ(alloc_stats::heap_allocations() - before, 2u + 2u * 3u);
+
+  before = alloc_stats::heap_allocations();
+  std::vector<std::vector<Tensor>> concurrent;
+  for (int t = 0; t < 4; ++t) {
+    BufferPoolProvision task(3);
+    concurrent.push_back(hold_two());  // no task holds more than the first
+  }
+  EXPECT_EQ(alloc_stats::heap_allocations() - before, 0u);
+  concurrent.push_back(hold_two());  // a fifth holder is past the provision
+  EXPECT_EQ(alloc_stats::heap_allocations() - before, 2u);
+}
+
 TEST(ZeroAllocRound, PoolBoundedByParallelism) {
   Fed fed = make_fed("mlp16", 6, 300, 60, 115);
   fl::FlConfig cfg;
   cfg.threads = 2;
-  fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
-  sim.run_round();
-  sim.run_round();
-  EXPECT_GE(sim.pool_size(), 1u);
-  EXPECT_LE(sim.pool_size(), 2u);  // never one replica per client
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+  run_round(eng);
+  run_round(eng);
+  EXPECT_GE(eng.pool_size(), 1u);
+  EXPECT_LE(eng.pool_size(), 2u);  // never one replica per client
 }
 
 TEST(ZeroAllocRound, ModelCopyFromRequiresMatchingStructure) {
