@@ -8,6 +8,7 @@
 #include <queue>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "metrics/membership_inference.h"
 #include "runtime/gemm.h"
@@ -183,25 +184,25 @@ struct Engine::Schedule {
   long rounds_consumed = 0;
   std::size_t total_clients = 0;        ///< pre-run clients + joins
   std::vector<std::size_t> join_order;  ///< scenario.joins indices, id order
+  /// (client, newest version any of its tasks downloads), one entry per
+  /// client with a task, in client order. The commit points the client's
+  /// reference snapshot there (the base DeltaWire's needs_reference() path
+  /// would diff against), so these are the only versions the snapshot store
+  /// ever interns. O(tasks), never O(registered clients).
+  std::vector<std::pair<std::size_t, long>> newest_download;
 };
 
 Engine::Engine(nn::Model global, std::vector<data::Dataset> client_data,
                data::Dataset server_test, FlConfig cfg)
-    : Engine(std::move(global), std::move(client_data), nullptr,
+    : Engine(std::move(global),
+             population::Population{
+                 population::ClientStateStore(std::move(client_data)), {}},
              std::move(server_test), std::move(cfg)) {}
 
 Engine::Engine(nn::Model global, population::Population pop,
                data::Dataset server_test, FlConfig cfg)
-    : Engine(std::move(global), {},
-             std::make_unique<population::Population>(std::move(pop)),
-             std::move(server_test), std::move(cfg)) {}
-
-Engine::Engine(nn::Model global, std::vector<data::Dataset> client_data,
-               std::unique_ptr<population::Population> pop,
-               data::Dataset server_test, FlConfig cfg)
     : global_(std::move(global)),
       replica_template_(global_),
-      clients_(std::move(client_data)),
       pop_(std::move(pop)),
       active_(num_clients(), true),
       test_(std::move(server_test)),
@@ -257,21 +258,15 @@ void Engine::set_client_data(std::size_t c, data::Dataset ds) {
         "fl::Engine: set_client_data while a run is in flight would race a "
         "leased replica's training task; inject a DeletionEvent into the "
         "scenario instead");
-  GOLDFISH_CHECK(c < num_clients(), "client id out of range");
-  if (pop_) {
-    // Re-spill the cold record in place — the old payload is never decoded.
-    pop_->clients.replace(c, ds);
-    return;
-  }
-  clients_[c] = std::move(ds);
+  // A cold record is re-spilled in place; its old payload is never decoded.
+  pop_.clients.replace(c, std::move(ds));
 }
 
 const data::Dataset& Engine::client_data(std::size_t c) const {
-  GOLDFISH_CHECK(!pop_,
-                 "client_data() is resident-mode only; population engines "
+  GOLDFISH_CHECK(pop_.clients.hot(),
+                 "client_data() needs resident clients; population engines "
                  "keep clients cold (population()->clients)");
-  GOLDFISH_CHECK(c < clients_.size(), "client id out of range");
-  return clients_[c];
+  return pop_.clients.resident_dataset(c);
 }
 
 std::size_t Engine::active_clients() const {
@@ -689,6 +684,18 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
           : *std::max_element(next_index.begin(), next_index.end());
   plan.total_clients = next_index.size();
   plan.timeline = std::move(timeline_storage);
+  // Sorted by client, newest version first; then keep each client's first.
+  std::vector<std::pair<std::size_t, long>>& newest = plan.newest_download;
+  for (const Schedule::Task& tp : plan.tasks)
+    newest.emplace_back(tp.client, tp.from_version);
+  std::sort(newest.begin(), newest.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
+  });
+  newest.erase(std::unique(newest.begin(), newest.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }),
+               newest.end());
   return plan;
 }
 
@@ -706,34 +713,29 @@ struct Engine::EpochTable {
 };
 
 Engine::EpochTable Engine::materialize_epochs(const Scenario& s,
-                                              const Schedule& plan) const {
+                                              const Schedule& plan) {
   EpochTable t;
   t.epochs.resize(plan.total_clients);
   t.final_owned.assign(plan.total_clients, -1);
   const std::size_t n0 = num_clients();
   // Epoch 0: pre-run data for existing clients, the join payload for joined
-  // ones (ids are assigned in join-application order).
-  if (pop_) {
-    // Population mode: decode a client's cold record only if the run
-    // actually reads its data — a consumed training task, or a flip /
-    // backdoor derivation (which transforms the current data). A client
-    // whose only event is a deletion stays cold: its epoch-0 entry is a
-    // never-dereferenced placeholder, and the commit path re-spills the
-    // record without reading it (the eviction-without-materialization
-    // contract, pinned by ClientStateStore::materializations()).
-    std::vector<bool> needs(n0, false);
-    for (const Schedule::Task& tp : plan.tasks)
-      if (tp.consumed_by >= 0 && tp.client < n0) needs[tp.client] = true;
-    for (const LabelFlipEvent& f : s.label_flips)
-      if (f.client < n0) needs[f.client] = true;
-    for (const BackdoorInjectEvent& b : s.backdoors)
-      if (b.client < n0) needs[b.client] = true;
-    for (std::size_t c = 0; c < n0; ++c)
-      t.epochs[c].push_back(needs[c] ? &pop_->clients.materialize(c)
-                                     : nullptr);
-  } else {
-    for (std::size_t c = 0; c < n0; ++c) t.epochs[c].push_back(&clients_[c]);
-  }
+  // ones (ids are assigned in join-application order). A cold record is
+  // decoded only if the run actually reads its data — a consumed training
+  // task, or a flip / backdoor derivation (which transforms the current
+  // data); a hot record is served from its slot. A client whose only event
+  // is a deletion stays cold: its epoch-0 entry is a never-dereferenced
+  // placeholder, and the commit re-spills the record without reading it
+  // (the eviction-without-materialization contract, pinned by
+  // ClientStateStore::materializations()).
+  std::vector<bool> needs(n0, false);
+  for (const Schedule::Task& tp : plan.tasks)
+    if (tp.consumed_by >= 0 && tp.client < n0) needs[tp.client] = true;
+  for (const LabelFlipEvent& f : s.label_flips)
+    if (f.client < n0) needs[f.client] = true;
+  for (const BackdoorInjectEvent& b : s.backdoors)
+    if (b.client < n0) needs[b.client] = true;
+  for (std::size_t c = 0; c < n0; ++c)
+    t.epochs[c].push_back(needs[c] ? &pop_.clients.materialize(c) : nullptr);
   for (std::size_t p = 0; p < plan.join_order.size(); ++p)
     t.epochs[n0 + p].push_back(&s.joins[plan.join_order[p]].dataset);
 
@@ -782,7 +784,9 @@ Engine::EpochTable Engine::materialize_epochs(const Scenario& s,
 // -- Phase B (plan execution) ----------------------------------------------
 
 void Engine::execute(const Scenario& scenario, const Schedule& plan,
-                     const EpochTable& epochs, const StepSink& sink) {
+                     const EpochTable& epochs, const StepSink& sink,
+                     std::vector<std::vector<Tensor>>& version_params,
+                     std::vector<std::size_t>& wire_bytes) {
   const long aggregations = static_cast<long>(plan.aggs.size());
 
   // Per-client dataset epochs, materialized by materialize_epochs in merged
@@ -823,14 +827,18 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
     version_refs[static_cast<std::size_t>(tp.from_version)].fetch_add(
         1, std::memory_order_relaxed);
   }
+  // The commit holds a reference for each client that will reference a
+  // version, so those parameters survive until run() interns them.
+  for (const auto& cv : plan.newest_download)
+    version_refs[static_cast<std::size_t>(cv.second)].fetch_add(
+        1, std::memory_order_relaxed);
 
   // Version v's parameters live until the last task downloading them has
   // broadcast (the releasing task parks the storage back in the recycler).
-  std::vector<std::vector<Tensor>> version_params(
-      static_cast<std::size_t>(aggregations) + 1);
+  version_params.assign(static_cast<std::size_t>(aggregations) + 1, {});
   std::vector<std::future<void>> futures(num_tasks);
   std::vector<ClientUpdate> task_updates(num_tasks);
-  std::vector<std::size_t> wire_bytes(num_tasks, 0);
+  wire_bytes.assign(num_tasks, 0);
   std::vector<double> task_err(num_tasks, 0.0);
   // Reference-needing wires (delta) read version v's parameters during the
   // encode/decode roundtrip, so the version-release refcount drop moves
@@ -894,16 +902,6 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
   };
 
   version_params[0] = global_.snapshot();
-  // Population mode: every broadcast version is interned into the
-  // content-addressed snapshot store at publish time — identical replicas
-  // dedupe to one refcounted buffer. The handles pin the versions for the
-  // duration of the run; run() transfers pins to the clients that
-  // downloaded them and releases the rest.
-  if (pop_) {
-    run_version_handles_.assign(static_cast<std::size_t>(aggregations) + 1,
-                                population::SnapshotStore::Handle{});
-    run_version_handles_[0] = pop_->snapshots.intern(version_params[0]);
-  }
   submit_version(0);
 
   try {
@@ -942,10 +940,6 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
       std::vector<Tensor> merged = agg.aggregate(updates);
       global_.load(merged);
       version_params[static_cast<std::size_t>(a) + 1] = std::move(merged);
-      if (pop_)
-        run_version_handles_[static_cast<std::size_t>(a) + 1] =
-            pop_->snapshots.intern(
-                version_params[static_cast<std::size_t>(a) + 1]);
       submit_version(static_cast<std::size_t>(a) + 1);
 
       r.step = a;
@@ -1000,17 +994,10 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
         } catch (...) {
         }
       }
-    if (pop_) {
-      // The aborted run commits nothing: drop the version pins and free the
-      // cohort slots so the stores are consistent for the next run.
-      for (const population::SnapshotStore::Handle& h : run_version_handles_)
-        pop_->snapshots.release(h);
-      run_version_handles_.clear();
-      pop_->clients.release_all();
-    }
+    // The aborted run commits nothing; only the cohort slots are returned.
+    pop_.clients.release_all();
     throw;
   }
-  if (pop_) run_wire_bytes_ = std::move(wire_bytes);
 }
 
 void Engine::run(Scenario scenario, const StepSink& sink) {
@@ -1054,79 +1041,64 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
 
   const Schedule plan = build_schedule(scenario);
   EpochTable epochs = materialize_epochs(scenario, plan);
-  execute(scenario, plan, epochs, sink);
+  std::vector<std::vector<Tensor>> version_params;
+  std::vector<std::size_t> wire_bytes;
+  execute(scenario, plan, epochs, sink, version_params, wire_bytes);
 
   // Commit the run's durable effects. Subsequent runs (and their RNG
   // streams) continue after every stream this run touched — fast clients
   // consume more task indices than there were aggregations, so the
   // aggregation count alone would under-advance.
   round_ += plan.rounds_consumed;
-  if (pop_) {
-    population::ClientStateStore& store = pop_->clients;
-    for (std::size_t ji : plan.join_order) {
-      store.add(scenario.joins[ji].dataset);
-      active_.push_back(true);
-    }
-    // Durable telemetry and reference snapshots, from the executed plan. A
-    // client's reference points at the newest version it downloaded — the
-    // base DeltaWire's needs_reference() path would diff against — and the
-    // set_reference acquire keeps that version's deduped buffer alive.
-    std::vector<long> newest(plan.total_clients, -1);
-    for (std::size_t id = 0; id < plan.tasks.size(); ++id) {
-      const Schedule::Task& tp = plan.tasks[id];
-      store.bump_tasks_started(tp.client, 1);
-      newest[tp.client] = std::max(newest[tp.client], tp.from_version);
-      if (tp.consumed_by >= 0) {
-        store.bump_updates_aggregated(tp.client, 1);
-        store.bump_bytes_uplinked(tp.client, run_wire_bytes_[id]);
-      }
-    }
-    for (std::size_t c = 0; c < plan.total_clients; ++c)
-      if (newest[c] >= 0) {
-        store.set_last_version(c, newest[c]);
-        pop_->set_reference(
-            c, run_version_handles_[static_cast<std::size_t>(newest[c])]);
-      }
-    // Deletions re-spill the cold record in place (the old payload is never
-    // decoded) and drop the client's snapshot reference, so a departed
-    // replica's refcount can reach zero. Order matches resident mode:
-    // deletion payloads commit before the derived flip/backdoor data (and
-    // materialize_epochs clears final_owned when a deletion came last).
-    for (const DeletionEvent& d : scenario.deletions) {
-      store.replace(d.client, d.new_data);
-      pop_->drop_reference(d.client);
-    }
-    for (std::size_t c = 0; c < epochs.final_owned.size(); ++c)
-      if (epochs.final_owned[c] >= 0)
-        store.replace(
-            c,
-            *epochs.owned[static_cast<std::size_t>(epochs.final_owned[c])]);
-    for (const ClientLeaveEvent& l : scenario.leaves)
-      active_[l.client] = false;
-    // End of run: drop the run's own version pins (a version no client
-    // references evaporates from the store) and return every materialized
-    // cohort slot — steady-state resident memory goes back to zero.
-    for (const population::SnapshotStore::Handle& h : run_version_handles_)
-      pop_->snapshots.release(h);
-    run_version_handles_.clear();
-    run_wire_bytes_.clear();
-    store.release_all();
-    return;
-  }
+  population::ClientStateStore& store = pop_.clients;
   for (std::size_t ji : plan.join_order) {
-    clients_.push_back(std::move(scenario.joins[ji].dataset));
+    store.add(std::move(scenario.joins[ji].dataset));
     active_.push_back(true);
   }
-  for (DeletionEvent& d : scenario.deletions)
-    clients_[d.client] = std::move(d.new_data);
-  // Adversarial data mutations are durable too: a client whose *last*
-  // mutation was a flip or backdoor keeps the hostile dataset (a later
-  // deletion supersedes both — its payload just committed above).
+  // Durable telemetry, from the executed plan.
+  for (std::size_t id = 0; id < plan.tasks.size(); ++id) {
+    const Schedule::Task& tp = plan.tasks[id];
+    store.bump_tasks_started(tp.client, 1);
+    if (tp.consumed_by >= 0) {
+      store.bump_updates_aggregated(tp.client, 1);
+      store.bump_bytes_uplinked(tp.client, wire_bytes[id]);
+    }
+  }
+  // Reference snapshots: each version some client downloaded last is
+  // interned once (identical contents dedupe to one refcounted buffer), and
+  // each set_reference acquire keeps it alive after the intern's own
+  // reference drops — a version no client references never enters the
+  // store.
+  std::vector<population::SnapshotStore::Handle> interned(
+      version_params.size());
+  for (const auto& [c, v] : plan.newest_download) {
+    population::SnapshotStore::Handle& h =
+        interned[static_cast<std::size_t>(v)];
+    if (!h.valid)
+      h = pop_.snapshots.intern(version_params[static_cast<std::size_t>(v)]);
+    store.set_last_version(c, v);
+    pop_.set_reference(c, h);
+  }
+  for (const population::SnapshotStore::Handle& h : interned)
+    pop_.snapshots.release(h);
+  // Deletions replace the client's data (a cold record is re-spilled in
+  // place, its old payload never decoded) and drop its snapshot reference,
+  // so a departed replica's refcount can reach zero. Adversarial data
+  // mutations are durable too: a client whose *last* mutation was a flip or
+  // backdoor keeps the hostile dataset (a later deletion supersedes both —
+  // materialize_epochs clears final_owned when a deletion came last).
+  for (DeletionEvent& d : scenario.deletions) {
+    store.replace(d.client, std::move(d.new_data));
+    pop_.drop_reference(d.client);
+  }
   for (std::size_t c = 0; c < epochs.final_owned.size(); ++c)
     if (epochs.final_owned[c] >= 0)
-      clients_[c] = std::move(
-          *epochs.owned[static_cast<std::size_t>(epochs.final_owned[c])]);
+      store.replace(c, std::move(*epochs.owned[static_cast<std::size_t>(
+                           epochs.final_owned[c])]));
   for (const ClientLeaveEvent& l : scenario.leaves) active_[l.client] = false;
+  // End of run: return every materialized cohort slot — a cold store's
+  // steady-state resident memory goes back to zero.
+  store.release_all();
 }
 
 std::vector<StepResult> Engine::collect(Scenario scenario) {

@@ -265,8 +265,8 @@ struct StepResult {
 };
 
 /// The single federated server loop. Owns the federation state (global
-/// model, client datasets, pooled client replicas, the server evaluator)
-/// and executes Scenarios against it.
+/// model, the client population, pooled client replicas, the server
+/// evaluator) and executes Scenarios against it.
 class Engine {
  public:
   /// The per-client update: receives a local model already initialized from
@@ -280,20 +280,22 @@ class Engine {
   /// Telemetry sink: called once per aggregation, in order.
   using StepSink = std::function<void(const StepResult&)>;
 
-  /// Validates `cfg` up front (unknown aggregator string, buffer_size out
-  /// of range, negative staleness_alpha / mean_duration, ...) and throws
-  /// std::invalid_argument with a specific message instead of misbehaving
-  /// later.
+  /// Resident construction: the datasets move into a *hot*-backed
+  /// population (every client stays resident; the store keeps only its
+  /// telemetry header beside it), so client_data() serves them directly.
+  /// Joins and replacements stay hot. Validates `cfg` up front (unknown
+  /// aggregator string, buffer_size out of range, negative staleness_alpha
+  /// / mean_duration, ...) and throws std::invalid_argument with a specific
+  /// message instead of misbehaving later.
   Engine(nn::Model global, std::vector<data::Dataset> client_data,
          data::Dataset server_test, FlConfig cfg);
 
-  /// Population-scale construction: the federation lives in a
-  /// population::Population (cold client-state store + content-addressed
-  /// snapshot store, fl/population/) instead of resident datasets. Clients
-  /// are materialized into pooled slots only while they participate, so a
-  /// run's resident memory is O(cohort), not O(registered clients) — see
-  /// docs/population.md. Semantics are otherwise identical: the same
-  /// Scenarios run, and the same data produces bit-identical StepResults.
+  /// Population-scale construction over a *cold* population::Population
+  /// (byte-record client store + content-addressed snapshot store,
+  /// fl/population/). Clients are materialized into pooled slots only while
+  /// they participate, so a run's resident memory is O(cohort), not
+  /// O(registered clients) — see docs/population.md. Both constructors run
+  /// the same code: the same data produces bit-identical StepResults.
   Engine(nn::Model global, population::Population pop,
          data::Dataset server_test, FlConfig cfg);
 
@@ -329,16 +331,14 @@ class Engine {
 
   nn::Model& global_model() { return global_; }
   const data::Dataset& server_test() const { return test_; }
-  /// Resident-mode dataset access; throws in population mode (cold records
-  /// are reached through population()->clients instead).
+  /// A resident (hot) client's dataset; throws for a cold population,
+  /// whose records are reached through population()->clients instead.
   const data::Dataset& client_data(std::size_t c) const;
-  /// The population stores, or null for a resident-mode engine.
-  population::Population* population() { return pop_.get(); }
-  const population::Population* population() const { return pop_.get(); }
+  /// The federation's stores (never null).
+  population::Population* population() { return &pop_; }
+  const population::Population* population() const { return &pop_; }
   /// Registered clients, inactive (departed) ones included.
-  std::size_t num_clients() const {
-    return pop_ ? pop_->clients.num_clients() : clients_.size();
-  }
+  std::size_t num_clients() const { return pop_.clients.num_clients(); }
   /// Clients currently participating in new runs (joins − leaves).
   std::size_t active_clients() const;
   /// True while a run is in flight (mutating accessors are rejected).
@@ -360,12 +360,6 @@ class Engine {
  private:
   struct Schedule;
   struct EpochTable;
-
-  /// The shared body of both public constructors: exactly one of
-  /// `client_data` (resident mode) and `pop` (population mode) is used.
-  Engine(nn::Model global, std::vector<data::Dataset> client_data,
-         std::unique_ptr<population::Population> pop,
-         data::Dataset server_test, FlConfig cfg);
 
   /// RAII lease of a pooled model replica: pops a free replica (cloning the
   /// global model only when the pool has never been this deep — i.e. the
@@ -390,9 +384,16 @@ class Engine {
   /// Replay the data-mutating events (deletions, label flips, backdoor
   /// injections) in merged timeline order, materializing every dataset
   /// version each client trains on during the run.
-  EpochTable materialize_epochs(const Scenario& s, const Schedule& plan) const;
+  EpochTable materialize_epochs(const Scenario& s, const Schedule& plan);
+  /// Phase B. Leaves in `version_params` every version some client will
+  /// reference (Schedule::newest_download) for run() to intern, and in
+  /// `wire_bytes` each task's upload size. A failed task aborts the run:
+  /// the other tasks are waited out, cohort slots released, and the error
+  /// rethrown — nothing is committed.
   void execute(const Scenario& scenario, const Schedule& plan,
-               const EpochTable& epochs, const StepSink& sink);
+               const EpochTable& epochs, const StepSink& sink,
+               std::vector<std::vector<Tensor>>& version_params,
+               std::vector<std::size_t>& wire_bytes);
 
   /// True when the global model is a two-layer MLP (the `mlp<h>` family),
   /// whose per-client evaluation can be stacked into one wide GEMM.
@@ -415,12 +416,10 @@ class Engine {
   /// thread never races the main thread's writes to global_ — which the
   /// aggregation loop performs while client tasks are still in flight.
   nn::Model replica_template_;
-  std::vector<data::Dataset> clients_;  ///< resident mode; empty when pop_
-  /// Population mode: the cold client-state + snapshot stores. Null for the
-  /// resident-mode constructor — every population branch in the engine is
-  /// behind `if (pop_)`, so resident-mode behaviour (and its golden
-  /// schedules) is untouched byte for byte.
-  std::unique_ptr<population::Population> pop_;
+  /// The federation: client store (hot or cold, fixed by the constructor)
+  /// plus the snapshot store. Every run goes through the same code; only
+  /// where a client's bytes live differs.
+  population::Population pop_;
   std::vector<bool> active_;  ///< false once a ClientLeaveEvent committed
   data::Dataset test_;
   FlConfig cfg_;
@@ -438,12 +437,6 @@ class Engine {
   // Stacked-evaluation scratch, reused across rounds.
   Tensor stacked_w_, stacked_b_, stacked_y_;
   bool stackable_ = false;  // computed once: the architecture never changes
-
-  // Population-mode run scratch: filled by execute(), committed (telemetry,
-  // reference snapshots) and cleared by run(). Index = server version /
-  // plan task id respectively.
-  std::vector<population::SnapshotStore::Handle> run_version_handles_;
-  std::vector<std::size_t> run_wire_bytes_;
 };
 
 }  // namespace goldfish::fl

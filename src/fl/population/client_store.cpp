@@ -57,6 +57,7 @@ GOLDFISH_HOT void ClientStateStore::spill(const data::Dataset& ds,
   append_raw(out, static_cast<std::int64_t>(t.updates_aggregated));
   append_raw(out, static_cast<std::uint64_t>(t.bytes_uplinked));
   append_raw(out, static_cast<std::int64_t>(t.last_version));
+  if (hot_) return;  // a hot record's dataset lives in its slot
   append_tensor_record(out, ds.features);
   // Labels ride as a float GFT1 record (class ids are exact below 2^24),
   // so the whole record parses with the one tensor reader.
@@ -67,20 +68,31 @@ GOLDFISH_HOT void ClientStateStore::spill(const data::Dataset& ds,
   append_tensor_record(out, label_tensor_);
 }
 
-std::size_t ClientStateStore::add(const data::Dataset& ds) {
-  const std::size_t id = records_.size();
-  records_.emplace_back();
-  spill(ds, Telemetry{}, records_.back().bytes);
-  cold_bytes_ += records_.back().bytes.size();
-  return id;
+ClientStateStore::ClientStateStore(std::vector<data::Dataset> clients)
+    : hot_(true) {
+  for (data::Dataset& ds : clients) add(std::move(ds));
 }
 
-GOLDFISH_HOT const data::Dataset& ClientStateStore::materialize(
-    std::size_t id) {
-  GOLDFISH_CHECK(id < records_.size(), "unknown client id");
-  Record& r = records_[id];
-  if (r.slot >= 0) return slots_[r.slot].ds;
+std::size_t ClientStateStore::add(data::Dataset ds) {
+  records_.emplace_back();
+  write(records_.size() - 1, std::move(ds), Telemetry{});
+  return records_.size() - 1;
+}
 
+void ClientStateStore::write(std::size_t id, data::Dataset ds,
+                             const Telemetry& t) {
+  Record& r = records_[id];
+  cold_bytes_ -= r.bytes.size();
+  spill(ds, t, r.bytes);
+  cold_bytes_ += r.bytes.size();
+  if (!hot_) return;
+  Slot& s = r.slot < 0 ? occupy(id) : slots_[r.slot];
+  resident_bytes_ -= s.bytes;
+  s.ds = std::move(ds);
+  settle(s);
+}
+
+ClientStateStore::Slot& ClientStateStore::occupy(std::size_t id) {
   int slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -91,7 +103,28 @@ GOLDFISH_HOT const data::Dataset& ClientStateStore::materialize(
     // high-water mark once, then every later materialization reuses a slot
     slots_.emplace_back();
   }
+  records_[id].slot = slot;
   Slot& s = slots_[slot];
+  s.owner = id;
+  ++resident_clients_;
+  return s;
+}
+
+void ClientStateStore::settle(Slot& s) {
+  s.bytes = static_cast<std::size_t>(s.ds.features.numel()) * sizeof(float) +
+            s.ds.labels.size() * sizeof(long);
+  resident_bytes_ += s.bytes;
+  if (resident_bytes_ > peak_resident_bytes_)
+    peak_resident_bytes_ = resident_bytes_;
+}
+
+GOLDFISH_HOT const data::Dataset& ClientStateStore::materialize(
+    std::size_t id) {
+  GOLDFISH_CHECK(id < records_.size(), "unknown client id");
+  Record& r = records_[id];
+  if (r.slot >= 0) return slots_[r.slot].ds;
+
+  Slot& s = occupy(id);
   data::Dataset& ds = s.ds;
 
   const std::string& bytes = r.bytes;
@@ -116,14 +149,7 @@ GOLDFISH_HOT const data::Dataset& ClientStateStore::materialize(
   const float* lp = label_tensor_.data();
   for (std::size_t i = 0; i < n; ++i) ds.labels[i] = static_cast<long>(lp[i]);
 
-  r.slot = slot;
-  s.owner = id;
-  s.bytes = static_cast<std::size_t>(ds.features.numel()) * sizeof(float) +
-            ds.labels.size() * sizeof(long);
-  resident_bytes_ += s.bytes;
-  if (resident_bytes_ > peak_resident_bytes_)
-    peak_resident_bytes_ = resident_bytes_;
-  ++resident_clients_;
+  settle(s);
   ++materializations_;
   return ds;
 }
@@ -133,10 +159,15 @@ bool ClientStateStore::resident(std::size_t id) const {
   return records_[id].slot >= 0;
 }
 
+const data::Dataset& ClientStateStore::resident_dataset(std::size_t id) const {
+  GOLDFISH_CHECK(resident(id), "client is not resident");
+  return slots_[records_[id].slot].ds;
+}
+
 void ClientStateStore::release(std::size_t id) {
   GOLDFISH_CHECK(id < records_.size(), "unknown client id");
   Record& r = records_[id];
-  if (r.slot < 0) return;
+  if (r.slot < 0 || hot_) return;
   Slot& s = slots_[r.slot];
   resident_bytes_ -= s.bytes;
   s.bytes = 0;
@@ -155,16 +186,12 @@ void ClientStateStore::release_all() {
   }
 }
 
-void ClientStateStore::replace(std::size_t id, const data::Dataset& ds) {
+void ClientStateStore::replace(std::size_t id, data::Dataset ds) {
   GOLDFISH_CHECK(id < records_.size(), "unknown client id");
   release(id);
-  Record& r = records_[id];
   // Telemetry survives the data swap; the old tensor payload is never
   // decoded (deletion on a cold client must not force a materialization).
-  const Telemetry t = telemetry(id);
-  cold_bytes_ -= r.bytes.size();
-  spill(ds, t, r.bytes);
-  cold_bytes_ += r.bytes.size();
+  write(id, std::move(ds), telemetry(id));
 }
 
 ClientStateStore::Telemetry ClientStateStore::telemetry(std::size_t id) const {

@@ -34,6 +34,14 @@
 // "no forced materialization" fix, tests/population_test.cpp pins it via the
 // materializations() lifetime counter).
 //
+// A store's backing is fixed when it is constructed. The default store is
+// cold, as above. A resident-constructed fl::Engine instead builds a *hot*
+// store: every record is the 72-byte header alone, and its dataset lives in
+// a permanently occupied slot. Telemetry patches work unchanged, materialize()
+// returns the slot without decoding, release()/release_all() skip hot
+// records, and add()/replace() move the dataset into the slot. Which backing
+// a record gets never depends on how the caller passes the dataset.
+//
 // Not thread-safe by design: the engine materializes cohort members on the
 // main thread while building a run (materialize_epochs) and commits
 // telemetry/replacements after the run, the same single-threaded seams all
@@ -49,6 +57,10 @@
 #include "fl/population/snapshot_store.h"
 #include "tensor/annotations.h"
 
+namespace goldfish::fl {
+class Engine;
+}  // namespace goldfish::fl
+
 namespace goldfish::fl::population {
 
 class ClientStateStore {
@@ -61,11 +73,18 @@ class ClientStateStore {
     long last_version = -1;  ///< broadcast version last downloaded
   };
 
-  /// Register a client: spill `ds` to a fresh cold record. Returns the
-  /// client id (dense, 0-based, stable for the store's lifetime).
-  std::size_t add(const data::Dataset& ds);
+  /// An empty cold store.
+  ClientStateStore() = default;
+
+  /// Register a client: spill `ds` to a fresh cold record (hot store: move
+  /// it into a fresh slot). Returns the client id (dense, 0-based, stable
+  /// for the store's lifetime).
+  std::size_t add(data::Dataset ds);
 
   std::size_t num_clients() const { return records_.size(); }
+
+  /// True when every record keeps its dataset resident (see above).
+  bool hot() const { return hot_; }
 
   /// Decode client `id` into a pooled resident slot and return the live
   /// dataset. Idempotent while resident (returns the same slot). The slot's
@@ -77,18 +96,23 @@ class ClientStateStore {
   /// True while `id` occupies a resident slot.
   bool resident(std::size_t id) const;
 
+  /// The dataset in `id`'s resident slot; throws when the client is cold.
+  const data::Dataset& resident_dataset(std::size_t id) const;
+
   /// Return `id`'s slot to the free list (storage retained for the next
-  /// occupant). No-op if not resident.
+  /// occupant). No-op if not resident, or if the store is hot.
   void release(std::size_t id);
 
-  /// Release every resident slot (end-of-run cohort teardown).
+  /// Release every resident slot (end-of-run cohort teardown). No-op for a
+  /// hot store.
   void release_all();
 
   /// Overwrite client `id`'s record from `ds`, WITHOUT decoding the old
   /// bytes — telemetry is preserved across the swap (the departed client's
   /// audit trail survives its data deletion). Frees the slot first if
-  /// resident, since the resident copy no longer matches the record.
-  void replace(std::size_t id, const data::Dataset& ds);
+  /// resident, since the resident copy no longer matches the record. A hot
+  /// store moves `ds` into the client's slot instead.
+  void replace(std::size_t id, data::Dataset ds);
 
   /// Durable telemetry, readable hot or cold.
   Telemetry telemetry(std::size_t id) const;
@@ -106,23 +130,31 @@ class ClientStateStore {
   /// Size of client `id`'s cold record in bytes.
   std::size_t record_bytes(std::size_t id) const;
 
-  /// Total bytes across all cold records.
+  /// Total bytes across all records (a hot record is its 72-byte header).
   std::size_t cold_bytes() const { return cold_bytes_; }
-  /// Bytes held by resident (materialized) datasets right now.
+  /// Bytes held by resident datasets right now (materialized cohort
+  /// members, or every client of a hot store).
   std::size_t resident_bytes() const { return resident_bytes_; }
   /// High-water mark of resident_bytes() over the store's lifetime.
   std::size_t peak_resident_bytes() const { return peak_resident_bytes_; }
-  /// Number of clients currently materialized.
+  /// Number of clients currently resident.
   std::size_t resident_clients() const { return resident_clients_; }
   /// Lifetime cold→hot decode count. A DeletionEvent on a cold client must
-  /// NOT advance this (the eviction-without-materialization contract).
+  /// NOT advance this (the eviction-without-materialization contract). A
+  /// hot store never decodes, so its count stays 0.
   std::size_t materializations() const { return materializations_; }
 
  private:
+  // The resident Engine constructor is the only way to build a hot store.
+  friend class goldfish::fl::Engine;
+
+  /// A hot store holding `clients` (ids in order).
+  explicit ClientStateStore(std::vector<data::Dataset> clients);
+
   struct Record {
-    std::string bytes;                 ///< GFP1 header + GFT1 tensors
-    int slot = -1;                     ///< resident slot, -1 when cold
-    SnapshotStore::Handle reference;   ///< caller-owned snapshot ref
+    std::string bytes;  ///< GFP1 header (+ GFT1 tensors when cold)
+    int slot = -1;      ///< resident slot, -1 when cold
+    SnapshotStore::Handle reference;  ///< caller-owned snapshot ref
   };
   struct Slot {
     data::Dataset ds;
@@ -130,8 +162,17 @@ class ClientStateStore {
     std::size_t bytes = 0;  ///< live dataset bytes of the current occupant
   };
 
+  /// Write `ds`'s record into `out`: the header, then (cold store only)
+  /// the tensor payload.
   GOLDFISH_HOT void spill(const data::Dataset& ds, const Telemetry& t,
                           std::string& out);
+  /// Store `ds` as client `id`'s data with telemetry `t`: respill the
+  /// record, and for a hot store move `ds` into the client's slot.
+  void write(std::size_t id, data::Dataset ds, const Telemetry& t);
+  /// Take a free slot (or grow the pool) for cold-or-hot client `id`.
+  Slot& occupy(std::size_t id);
+  /// Account the occupant of `s` as resident.
+  void settle(Slot& s);
 
   // deque: materialize() hands out references into slots, which must stay
   // valid while later cohort members materialize into new slots.
@@ -144,6 +185,7 @@ class ClientStateStore {
   std::size_t peak_resident_bytes_ = 0;
   std::size_t resident_clients_ = 0;
   std::size_t materializations_ = 0;
+  bool hot_ = false;
 };
 
 }  // namespace goldfish::fl::population

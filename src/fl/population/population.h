@@ -1,5 +1,5 @@
 // Population façade: one object bundling the two population-scale stores
-// (docs/population.md) so the engine carries a single optional member.
+// (docs/population.md) — every fl::Engine holds exactly one.
 //
 // - `clients` — cold client-state store: datasets + durable telemetry live
 //   as compact byte records; only active-cohort members are materialized.

@@ -16,10 +16,9 @@
 // handled by per-hash chaining (a Handle carries the chain slot), never by
 // silent aliasing.
 //
-// Not thread-safe by design: the engine interns versions on the main thread
-// at publish time (Phase B's aggregation loop) and commits references after
-// the run — the same single-threaded seams the rest of the durable state
-// uses.
+// Not thread-safe by design: the engine interns the versions clients will
+// reference, and commits those references, on the main thread after the run
+// — the same single-threaded seam the rest of the durable state uses.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <numeric>
 
 #include "tensor/annotations.h"
@@ -77,12 +78,11 @@ void save_tensors(const std::string& path, const std::vector<Tensor>& ts) {
 std::vector<Tensor> load_tensors(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   GOLDFISH_CHECK(is.is_open(), "cannot open for read: " + path);
-  const std::uint32_t n = read_u32(is);
-  GOLDFISH_CHECK(n < (1u << 20), "implausible tensor count");
-  std::vector<Tensor> ts;
-  ts.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) ts.push_back(read_tensor(is));
-  return ts;
+  // The whole file, then the bounded decoder: a header's dims are checked
+  // against the bytes actually present before anything is allocated.
+  const std::string bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  return deserialize_tensors(bytes.data(), bytes.size());
 }
 
 namespace {

@@ -1,13 +1,15 @@
 // The population subsystem (src/fl/population/): cold client-state store
 // spill/materialize round trips, content-addressed snapshot dedup and
 // refcounting, the two-tier hierarchical aggregator's bitwise equivalence
-// with flat aggregation, cohort enumeration, and the population-mode
-// engine's equivalence with the resident-mode engine — including the
-// deletion-on-a-cold-client eviction that must not force a materialization.
+// with flat aggregation, cohort enumeration, and the engine's one commit
+// path over its two backings (hot resident clients, cold records) —
+// including the deletion-on-a-cold-client eviction that must not force a
+// materialization, and an aborted run that commits nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -74,6 +76,30 @@ fl::population::Population make_population(
   fl::population::Population pop;
   for (const data::Dataset& p : parts) pop.clients.add(p);
   return pop;
+}
+
+/// The same federation behind either constructor: resident datasets (a hot
+/// store) or a cold population.
+std::unique_ptr<fl::Engine> make_engine(bool hot, const Fed& fed,
+                                        const fl::FlConfig& cfg) {
+  if (hot)
+    return std::make_unique<fl::Engine>(fed.global, fed.parts, fed.test, cfg);
+  return std::make_unique<fl::Engine>(fed.global, make_population(fed.parts),
+                                      fed.test, cfg);
+}
+
+/// Live bytes of a dataset, as ClientStateStore::resident_bytes counts them.
+std::size_t dataset_bytes(const data::Dataset& ds) {
+  return static_cast<std::size_t>(ds.features.numel()) * sizeof(float) +
+         ds.labels.size() * sizeof(long);
+}
+
+bool telemetry_equal(const fl::population::ClientStateStore::Telemetry& a,
+                     const fl::population::ClientStateStore::Telemetry& b) {
+  return a.tasks_started == b.tasks_started &&
+         a.updates_aggregated == b.updates_aggregated &&
+         a.bytes_uplinked == b.bytes_uplinked &&
+         a.last_version == b.last_version;
 }
 
 // -- cold client-state store -----------------------------------------------
@@ -375,7 +401,7 @@ TEST(CohortParticipation, EnumeratedScheduleMatchesMembershipScan) {
                                       scanned.global_model().snapshot()));
 }
 
-// -- population-mode engine ------------------------------------------------
+// -- the engine over hot and cold backings ---------------------------------
 
 TEST(PopulationEngine, MatchesResidentEngineBitForBit) {
   for (std::size_t threads : {1u, 2u, 8u}) {
@@ -421,29 +447,118 @@ TEST(PopulationEngine, MatchesResidentEngineBitForBit) {
 }
 
 TEST(PopulationEngine, DurableStateAndTelemetryCommit) {
+  // One commit path, two backings: the resident constructor's hot store
+  // commits exactly the telemetry and snapshot references a cold one does.
   Fed fed = make_fed(5, 150, 40, 1602);
   fl::FlConfig cfg = fast_cfg();
-  fl::Engine eng(fed.global, make_population(fed.parts), fed.test, cfg);
-  auto steps = eng.collect(eng.sync_scenario(2));
-  ASSERT_EQ(steps.size(), 2u);
+  auto cold = make_engine(false, fed, cfg);
+  auto hot = make_engine(true, fed, cfg);
+  for (fl::Engine* eng : {cold.get(), hot.get()}) {
+    SCOPED_TRACE(eng == hot.get() ? "hot" : "cold");
+    auto steps = eng->collect(eng->sync_scenario(2));
+    ASSERT_EQ(steps.size(), 2u);
 
-  auto* pop = eng.population();
-  std::size_t started = 0, aggregated = 0;
-  for (std::size_t c = 0; c < eng.num_clients(); ++c) {
-    const auto t = pop->clients.telemetry(c);
-    started += static_cast<std::size_t>(t.tasks_started);
-    aggregated += static_cast<std::size_t>(t.updates_aggregated);
-    EXPECT_GT(t.bytes_uplinked, 0u);
-    EXPECT_GE(t.last_version, 1L);
+    auto* pop = eng->population();
+    ASSERT_NE(pop, nullptr);
+    std::size_t started = 0, aggregated = 0;
+    for (std::size_t c = 0; c < eng->num_clients(); ++c) {
+      const auto t = pop->clients.telemetry(c);
+      started += static_cast<std::size_t>(t.tasks_started);
+      aggregated += static_cast<std::size_t>(t.updates_aggregated);
+      EXPECT_GT(t.bytes_uplinked, 0u);
+      EXPECT_GE(t.last_version, 1L);
+    }
+    EXPECT_EQ(aggregated, 10u);  // 2 barrier rounds × 5 clients
+    EXPECT_GE(started, aggregated);
+    // All five clients downloaded the same final version: one deduped
+    // snapshot, five references.
+    EXPECT_EQ(pop->snapshots.unique_snapshots(), 1u);
+    EXPECT_EQ(pop->snapshots.total_references(), 5u);
   }
-  EXPECT_EQ(aggregated, 10u);  // 2 barrier rounds × 5 clients
-  EXPECT_GE(started, aggregated);
-  // All five clients downloaded the same final version: one deduped
-  // snapshot, five references.
-  EXPECT_EQ(pop->snapshots.unique_snapshots(), 1u);
-  EXPECT_EQ(pop->snapshots.total_references(), 5u);
-  // client_data() is a resident-mode API.
-  EXPECT_THROW(eng.client_data(0), CheckError);
+  for (std::size_t c = 0; c < fed.parts.size(); ++c)
+    EXPECT_TRUE(telemetry_equal(cold->population()->clients.telemetry(c),
+                                hot->population()->clients.telemetry(c)))
+        << "client " << c;
+  // client_data() serves hot records only.
+  EXPECT_THROW(cold->client_data(0), CheckError);
+
+  // A later run's deletion and join stay hot: no client is ever decoded or
+  // spilled cold, and client_data() returns the post-run data.
+  const auto remainder = fed.parts[0].subset({0, 1, 2, 3, 4});
+  const auto joiner = fed.parts[1].subset({5, 6, 7});
+  fl::Scenario s;
+  s.aggregations = 0;
+  s.deletions.push_back({0.0, 0, remainder});
+  s.joins.push_back({0.0, joiner});
+  hot->collect(std::move(s));
+  const auto& store = hot->population()->clients;
+  EXPECT_EQ(store.materializations(), 0u);
+  std::vector<data::Dataset> after = fed.parts;
+  after[0] = remainder;
+  after.push_back(joiner);
+  ASSERT_EQ(hot->num_clients(), after.size());
+  std::size_t federation_bytes = 0;
+  for (std::size_t c = 0; c < after.size(); ++c) {
+    federation_bytes += dataset_bytes(after[c]);
+    EXPECT_TRUE(datasets_bitwise_equal(hot->client_data(c), after[c]))
+        << "client " << c;
+  }
+  EXPECT_EQ(store.resident_bytes(), federation_bytes);
+}
+
+TEST(PopulationEngine, AbortedRunCommitsNothing) {
+  for (const bool hot : {false, true}) {
+    SCOPED_TRACE(hot ? "hot" : "cold");
+    Fed fed = make_fed(5, 150, 40, 1606);
+    fl::FlConfig cfg = fast_cfg();
+    auto eng = make_engine(hot, fed, cfg);
+    eng->collect(eng->sync_scenario(1));  // pre-run state to preserve
+
+    bool fail = true;
+    eng->set_client_update([&](std::size_t cid, nn::Model& model,
+                               const data::Dataset& ds, long round) {
+      if (fail && cid == 2) throw std::runtime_error("client 2 crashed");
+      fl::TrainOptions opts = cfg.local;
+      opts.seed = mix_seed(cfg.seed, cid, static_cast<std::uint64_t>(round));
+      fl::train_local(model, ds, opts);
+    });
+
+    const auto* pop = eng->population();
+    const std::size_t refs = pop->snapshots.total_references();
+    const std::size_t unique = pop->snapshots.unique_snapshots();
+    std::vector<fl::population::ClientStateStore::Telemetry> telemetry;
+    for (std::size_t c = 0; c < eng->num_clients(); ++c)
+      telemetry.push_back(pop->clients.telemetry(c));
+    const long rounds = eng->rounds_completed();
+
+    // The scenario would delete, join and flip if it committed.
+    fl::Scenario s = eng->sync_scenario(2);
+    s.deletions.push_back({0.5, 0, fed.parts[0].subset({0, 1, 2})});
+    s.joins.push_back({0.5, fed.parts[1].subset({0, 1, 2})});
+    s.label_flips.push_back({0.5, 3});
+    EXPECT_THROW(eng->collect(std::move(s)), std::runtime_error);
+
+    EXPECT_FALSE(eng->running());
+    EXPECT_EQ(eng->num_clients(), fed.parts.size());
+    EXPECT_EQ(eng->rounds_completed(), rounds);
+    EXPECT_EQ(pop->snapshots.total_references(), refs);
+    EXPECT_EQ(pop->snapshots.unique_snapshots(), unique);
+    for (std::size_t c = 0; c < eng->num_clients(); ++c)
+      EXPECT_TRUE(telemetry_equal(pop->clients.telemetry(c), telemetry[c]))
+          << "client " << c;
+    if (hot) {
+      for (std::size_t c = 0; c < fed.parts.size(); ++c)
+        EXPECT_TRUE(datasets_bitwise_equal(eng->client_data(c), fed.parts[c]))
+            << "client " << c;
+    } else {
+      EXPECT_EQ(pop->clients.resident_bytes(), 0u);
+    }
+
+    fail = false;
+    EXPECT_EQ(eng->collect(eng->sync_scenario(1)).size(), 1u);
+    EXPECT_EQ(pop->clients.telemetry(2).updates_aggregated,
+              telemetry[2].updates_aggregated + 1);
+  }
 }
 
 TEST(PopulationEngine, DeletionOnColdClientEvictsWithoutMaterializing) {

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "tensor/serialize.h"
@@ -102,6 +103,21 @@ TEST(Serialize, FileSaveLoad) {
 TEST(Serialize, MissingFileThrows) {
   EXPECT_THROW(load_tensors("/tmp/definitely_missing_goldfish.bin"),
                CheckError);
+}
+
+TEST(Serialize, LoadRejectsOversizedDimsBeforeAllocating) {
+  // 28 bytes: one GFT1 header claiming [2^20, 2^20] floats (4 TiB) and no
+  // payload. The file path must throw a typed error, not std::bad_alloc.
+  const std::string bytes = fixtures::list_of(
+      fixtures::record(fixtures::kDense, {1 << 20, 1 << 20}, 0));
+  ASSERT_EQ(bytes.size(), 28u);
+  const std::string path = "/tmp/goldfish_serialize_oversized.bin";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_THROW(load_tensors(path), CheckError);
+  std::remove(path.c_str());
 }
 
 TEST(Serialize, BufferPathMatchesStreamBytes) {
