@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
-
-#include "fl/population/hierarchical.h"
+#include <utility>
 
 #include "tensor/annotations.h"
 #include "tensor/check.h"
@@ -23,6 +23,79 @@ void check_multipliers(const std::vector<ClientUpdate>& updates,
   GOLDFISH_CHECK(!updates.empty(), "no updates to aggregate");
   GOLDFISH_CHECK(!multipliers || multipliers->size() == updates.size(),
                  "multiplier count mismatch");
+}
+
+/// True when every coordinate of the snapshot is finite. Counting (not
+/// and-ing a bool, not returning early) keeps the loop vectorized.
+bool all_finite(const std::vector<Tensor>& params) {
+  std::size_t non_finite = 0;
+  for (const Tensor& t : params) {
+    const float* p = t.data();
+    for (std::size_t j = 0; j < t.numel(); ++j)
+      non_finite += !std::isfinite(p[j]);
+  }
+  return non_finite == 0;
+}
+
+/// The shared weighted fold under normalized coefficients, over the updates
+/// flagged `finite`. A non-finite upload is left out, not given coefficient
+/// 0: 0·NaN is NaN.
+std::vector<Tensor> fold_finite(const std::vector<ClientUpdate>& updates,
+                                const std::vector<float>& coeffs,
+                                const std::vector<bool>& finite) {
+  std::vector<const std::vector<Tensor>*> snaps;
+  std::vector<float> c;
+  for (std::size_t i = 0; i < updates.size(); ++i)
+    if (finite[i]) {
+      snaps.push_back(&updates[i].params);
+      c.push_back(coeffs[i]);
+    }
+  return nn::weighted_fold(snaps, c);
+}
+
+/// One coordinate's (value, update index) entry. The index breaks value
+/// ties deterministically and carries the update's multiplier through the
+/// sort.
+using Entry = std::pair<float, std::size_t>;
+
+/// The sweep order: ascending value, NaN ranked above +∞, ties broken by
+/// update index. On NaN-free columns this is exactly std::pair's order.
+bool ranks_below(const Entry& a, const Entry& b) {
+  if (a.first < b.first) return true;
+  if (b.first < a.first) return false;
+  const bool a_nan = std::isnan(a.first), b_nan = std::isnan(b.first);
+  if (a_nan != b_nan) return b_nan;
+  return a.second < b.second;
+}
+
+/// The coordinate sweep shared by trimmed mean and median: for every scalar
+/// coordinate, gather the updates' (value, index) column, sort it, and write
+/// reduce(column).
+template <class Reduce>
+std::vector<Tensor> coordinate_sweep(const std::vector<ClientUpdate>& updates,
+                                     Reduce reduce) {
+  const std::size_t n = updates.size();
+  const std::vector<Tensor>& like = updates[0].params;
+  for (const ClientUpdate& u : updates)
+    GOLDFISH_CHECK(u.params.size() == like.size(),
+                   "snapshot layout mismatch");
+  std::vector<Tensor> out;
+  out.reserve(like.size());
+  std::vector<Entry> col(n);
+  for (std::size_t t = 0; t < like.size(); ++t) {
+    for (const ClientUpdate& u : updates)
+      GOLDFISH_CHECK(u.params[t].same_shape(like[t]),
+                     "snapshot shape mismatch");
+    Tensor acc = Tensor::uninit(like[t].shape());
+    float* dst = acc.data();
+    for (std::size_t j = 0; j < like[t].numel(); ++j) {
+      for (std::size_t i = 0; i < n; ++i) col[i] = {updates[i].params[t][j], i};
+      std::sort(col.begin(), col.end(), ranks_below);
+      dst[j] = reduce(col);
+    }
+    out.push_back(std::move(acc));
+  }
+  return out;
 }
 
 }  // namespace
@@ -49,7 +122,7 @@ GOLDFISH_HOT std::vector<Tensor> Aggregator::aggregate(
   std::vector<float> w = weights(updates);
   if (multipliers)
     for (std::size_t i = 0; i < w.size(); ++i) w[i] *= (*multipliers)[i];
-  return nn::weighted_average(snaps, w);
+  return nn::weighted_average(snaps, std::move(w));
 }
 
 std::vector<float> FedAvgAggregator::weights(
@@ -113,9 +186,12 @@ std::vector<double> KrumAggregator::scores(
   std::vector<float> dist(static_cast<std::size_t>(n * n), 0.0f);
   for (long i = 0; i < n; ++i)
     for (long j = i + 1; j < n; ++j) {
-      const float d = nn::snapshot_distance_sq(
+      float d = nn::snapshot_distance_sq(
           updates[static_cast<std::size_t>(i)].params,
           updates[static_cast<std::size_t>(j)].params);
+      // A non-finite upload is infinitely far from everyone (and NaN would
+      // break the sort's ordering).
+      if (!std::isfinite(d)) d = std::numeric_limits<float>::infinity();
       dist[static_cast<std::size_t>(i * n + j)] = d;
       dist[static_cast<std::size_t>(j * n + i)] = d;
     }
@@ -151,15 +227,17 @@ std::vector<Tensor> KrumAggregator::aggregate(
     return a < b;
   });
   const std::size_t m = std::min(static_cast<std::size_t>(m_), n);
-  // Selection is a 0/1 mask (x multipliers), so the averaging itself rides
-  // the shared borrowed-view fast path.
+  // Selection is a 0/1 mask (x multipliers) over the shared fold. A
+  // non-finite update scores +∞, and if selected anyway it gets weight 0
+  // and no part in the fold.
+  std::vector<bool> finite(n);
+  for (std::size_t i = 0; i < n; ++i)
+    finite[i] = all_finite(updates[i].params);
   std::vector<float> w(n, 0.0f);
   for (std::size_t k = 0; k < m; ++k)
-    w[order[k]] = mult_at(multipliers, order[k]);
-  std::vector<const std::vector<Tensor>*> snaps;
-  snaps.reserve(n);
-  for (const ClientUpdate& u : updates) snaps.push_back(&u.params);
-  return nn::weighted_average(snaps, w);
+    if (finite[order[k]]) w[order[k]] = mult_at(multipliers, order[k]);
+  nn::normalize_weights(w);
+  return fold_finite(updates, w, finite);
 }
 
 // -- coordinate-wise trimmed mean and median --------------------------------
@@ -178,64 +256,28 @@ std::vector<Tensor> TrimmedMeanAggregator::aggregate(
   const std::size_t k =
       static_cast<std::size_t>(fraction_ * double(n));  // per side
   GOLDFISH_CHECK(n > 2 * k, "trimmed-mean trimmed every update away");
-
-  const std::vector<Tensor>& like = updates[0].params;
-  std::vector<Tensor> out;
-  out.reserve(like.size());
-  // (value, update index) pairs per coordinate: the index both breaks value
-  // ties deterministically and carries the update's multiplier through the
-  // sort.
-  std::vector<std::pair<float, std::size_t>> col(n);
-  for (std::size_t t = 0; t < like.size(); ++t) {
-    Tensor acc = Tensor::uninit(like[t].shape());
-    float* dst = acc.data();
-    for (std::size_t j = 0; j < like[t].numel(); ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        GOLDFISH_CHECK(updates[i].params[t].same_shape(like[t]),
-                       "snapshot shape mismatch");
-        col[i] = {updates[i].params[t][j], i};
-      }
-      std::sort(col.begin(), col.end());
-      double num = 0.0, den = 0.0;
-      for (std::size_t i = k; i < n - k; ++i) {
-        const double w = double(mult_at(multipliers, col[i].second));
-        num += w * double(col[i].first);
-        den += w;
-      }
-      GOLDFISH_CHECK(den > 0.0, "trimmed-mean weights sum to zero");
-      dst[j] = static_cast<float>(num / den);
+  return coordinate_sweep(updates, [&](const std::vector<Entry>& col) {
+    double num = 0.0, den = 0.0;
+    for (std::size_t i = k; i < n - k; ++i) {
+      const double w = double(mult_at(multipliers, col[i].second));
+      num += w * double(col[i].first);
+      den += w;
     }
-    out.push_back(std::move(acc));
-  }
-  return out;
+    GOLDFISH_CHECK(den > 0.0, "trimmed-mean weights sum to zero");
+    return static_cast<float>(num / den);
+  });
 }
 
 std::vector<Tensor> MedianAggregator::aggregate(
     const std::vector<ClientUpdate>& updates,
     const std::vector<float>* multipliers) const {
   check_multipliers(updates, multipliers);
-  (void)multipliers;  // an order statistic is scale-free; decay is ignored
+  // An order statistic is scale-free; decay multipliers are ignored.
   const std::size_t n = updates.size();
-  const std::vector<Tensor>& like = updates[0].params;
-  std::vector<Tensor> out;
-  out.reserve(like.size());
-  std::vector<float> col(n);
-  for (std::size_t t = 0; t < like.size(); ++t) {
-    Tensor acc = Tensor::uninit(like[t].shape());
-    float* dst = acc.data();
-    for (std::size_t j = 0; j < like[t].numel(); ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        GOLDFISH_CHECK(updates[i].params[t].same_shape(like[t]),
-                       "snapshot shape mismatch");
-        col[i] = updates[i].params[t][j];
-      }
-      std::sort(col.begin(), col.end());
-      dst[j] = (n % 2 == 1) ? col[n / 2]
-                            : 0.5f * (col[n / 2 - 1] + col[n / 2]);
-    }
-    out.push_back(std::move(acc));
-  }
-  return out;
+  return coordinate_sweep(updates, [n](const std::vector<Entry>& col) {
+    return (n % 2 == 1) ? col[n / 2].first
+                        : 0.5f * (col[n / 2 - 1].first + col[n / 2].first);
+  });
 }
 
 // -- norm clipping ----------------------------------------------------------
@@ -257,39 +299,23 @@ std::vector<Tensor> NormClipAggregator::aggregate(
     const std::vector<float>* multipliers) const {
   check_multipliers(updates, multipliers);
   const std::size_t n = updates.size();
-  // Multiplier normalization mirrors nn::weighted_average exactly (float
-  // total, first snapshot written in place, the rest axpy-accumulated), so
-  // with every clip factor at 1 the result is bit-identical to the uniform
-  // average. Clip factors scale each normalized weight afterwards — they
+  // Clip factors scale each normalized multiplier afterwards — they
   // deliberately stay out of the normalization: an oversized update must
-  // contribute less total mass, not get renormalized back up.
-  float total = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    GOLDFISH_CHECK(mult_at(multipliers, i) >= 0.0f,
-                   "negative aggregation weight");
-    total += mult_at(multipliers, i);
-  }
-  GOLDFISH_CHECK(total > 0.0f, "aggregation weights sum to zero");
-  std::vector<float> eff(n);
+  // contribute less total mass, not get renormalized back up. With every
+  // factor at 1 this is the uniform average, bit for bit.
+  std::vector<float> eff =
+      multipliers ? *multipliers : std::vector<float>(n, 1.0f);
+  nn::normalize_weights(eff);
+  // The double-accumulated norm of finite floats cannot overflow, so a
+  // non-finite norm means a non-finite upload: it keeps its share of the
+  // normalization (the C/‖ω‖ → 0 limit) and takes no part in the fold.
+  std::vector<bool> finite(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double norm = snapshot_norm(updates[i].params);
-    const float factor =
-        norm > clip_ ? static_cast<float>(clip_ / norm) : 1.0f;
-    eff[i] = (mult_at(multipliers, i) / total) * factor;
+    finite[i] = std::isfinite(norm);
+    if (norm > clip_) eff[i] *= static_cast<float>(clip_ / norm);
   }
-
-  const std::vector<Tensor>& first = updates[0].params;
-  std::vector<Tensor> out;
-  out.reserve(first.size());
-  for (const Tensor& t : first) {
-    Tensor acc = Tensor::uninit(t.shape());
-    const float* src = t.data();
-    float* dst = acc.data();
-    for (std::size_t j = 0; j < t.numel(); ++j) dst[j] = src[j] * eff[0];
-    out.push_back(std::move(acc));
-  }
-  for (std::size_t i = 1; i < n; ++i) nn::axpy(out, updates[i].params, eff[i]);
-  return out;
+  return fold_finite(updates, eff, finite);
 }
 
 // -- staleness discounting --------------------------------------------------
@@ -331,12 +357,6 @@ std::vector<Tensor> StalenessAggregator::aggregate(
 
 std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
                                             const RobustConfig& robust) {
-  // "hier+<base>": two-tier hierarchical reduction over the named base,
-  // edge width robust.hier_edge. Recurses so the prefix composes with any
-  // base the registry knows.
-  if (name.rfind("hier+", 0) == 0)
-    return std::make_unique<population::HierarchicalAggregator>(
-        make_aggregator(name.substr(5), robust), robust.hier_edge);
   if (name == "fedavg") return std::make_unique<FedAvgAggregator>();
   if (name == "uniform") return std::make_unique<UniformAggregator>();
   if (name == "adaptive") return std::make_unique<AdaptiveAggregator>();

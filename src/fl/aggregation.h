@@ -43,9 +43,6 @@ struct RobustConfig {
   /// L2 clip threshold (> 0): each update is scaled by min(1, C/‖ω‖)
   /// before the mean, bounding any single client's pull on the aggregate.
   double clip_norm = 10.0;
-  /// Edge-aggregator cohort-chunk width for the hierarchical wrapper
-  /// ("hier+<base>" names, fl/population/hierarchical.h).
-  long hier_edge = 8;
 };
 
 /// Aggregation strategy interface. Weight-based strategies supply per-update
@@ -53,7 +50,8 @@ struct RobustConfig {
 /// borrowed by nn::weighted_average, never cloned — zero steady-state
 /// allocations). Robust strategies that are not expressible as per-update
 /// scalar weights (trimmed mean, median, norm clipping) override the
-/// aggregate() seam itself.
+/// aggregate() seam itself; krum and norm-clip still end in the same
+/// nn::weighted_fold, trimmed mean and median share one coordinate sweep.
 class Aggregator {
  public:
   /// What the strategy needs from (or guarantees to) the server — one
@@ -139,7 +137,8 @@ class AdaptiveAggregator final : public Aggregator {
 /// arrival index) and averaged — a geometric-majority vote that discards
 /// outliers no matter how extreme their values. Needs n ≥ f+3 updates per
 /// aggregation. Selection reduces to 0/1 weights, so the averaging itself
-/// rides the shared borrowed-view fast path.
+/// rides the shared borrowed-view fold. A non-finite distance scores as +∞,
+/// and an update with a non-finite coordinate takes no part in the fold.
 class KrumAggregator final : public Aggregator {
  public:
   using Aggregator::aggregate;
@@ -170,7 +169,8 @@ class KrumAggregator final : public Aggregator {
 /// coordinate, drop the ⌊β·n⌋ largest and ⌊β·n⌋ smallest values and average
 /// the rest. A poisoned update can perturb a coordinate only while staying
 /// inside the honest values' range. Multipliers (staleness decay) weight
-/// the surviving values per coordinate, normalized among survivors.
+/// the surviving values per coordinate, normalized among survivors. NaN
+/// sorts above +∞, so a non-finite value is trimmed like any outlier.
 class TrimmedMeanAggregator final : public Aggregator {
  public:
   using Aggregator::aggregate;
@@ -190,9 +190,10 @@ class TrimmedMeanAggregator final : public Aggregator {
 };
 
 /// Coordinate-wise median (Yin et al., ICML 2018): the maximally trimmed
-/// mean. Even counts average the two central values. An order statistic is
-/// scale-free, so per-update scalar multipliers (staleness decay) do not
-/// apply and are ignored.
+/// mean. Even counts average the two central values of the same sorted
+/// column trimmed mean uses (NaN above +∞, ties by update index). An order
+/// statistic is scale-free, so per-update scalar multipliers (staleness
+/// decay) do not apply and are ignored.
 class MedianAggregator final : public Aggregator {
  public:
   using Aggregator::aggregate;
@@ -208,7 +209,8 @@ class MedianAggregator final : public Aggregator {
 /// the clipped updates are averaged under the multiplier weights. Clipping
 /// is absolute, not relative: the clip factors deliberately do NOT enter
 /// the normalization, so an oversized update contributes *less* total mass,
-/// bounding any single client's pull at C/n.
+/// bounding any single client's pull at C/n. An update with a non-finite
+/// coordinate (infinite norm, clip factor → 0) takes no part in the fold.
 class NormClipAggregator final : public Aggregator {
  public:
   using Aggregator::aggregate;
@@ -264,10 +266,8 @@ class StalenessAggregator final : public Aggregator {
 
 /// Build a strategy by name: "fedavg" | "uniform" | "adaptive" | "krum" |
 /// "multi-krum" | "trimmed-mean" | "median" | "norm-clip". The robust
-/// strategies read their knobs from `robust`. A "hier+" prefix wraps the
-/// named base in the two-tier hierarchical reducer
-/// (fl/population/hierarchical.h) with edge width `robust.hier_edge` —
-/// e.g. "hier+fedavg"; output is bit-identical to the flat base.
+/// strategies read their knobs from `robust`. Any other name throws
+/// CheckError.
 std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
                                             const RobustConfig& robust = {});
 

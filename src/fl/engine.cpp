@@ -26,23 +26,16 @@ FlConfig validated(FlConfig cfg, std::size_t num_clients) {
   };
   if (cfg.robust.krum_f < 0) fail("robust.krum_f must be >= 0");
   if (cfg.robust.krum_m < 1) fail("robust.krum_m must be >= 1");
-  if (cfg.robust.hier_edge < 1) fail("robust.hier_edge must be >= 1");
-  // The registry is the single source of truth for names (it grows:
-  // "hier+<base>" prefixes compose recursively), so probe it instead of
-  // mirroring a list here.
+  // The registry is the single source of truth for names, so probe it
+  // instead of mirroring a list here.
   try {
     make_aggregator(cfg.aggregator, cfg.robust);
   } catch (const std::exception& e) {
     fail("unknown aggregator '" + cfg.aggregator +
          "' (expected fedavg | uniform | adaptive | krum | multi-krum | "
-         "trimmed-mean | median | norm-clip, optionally prefixed hier+): " +
-         e.what());
+         "trimmed-mean | median | norm-clip): " + e.what());
   }
-  // The krum capacity checks apply to the base strategy under any number of
-  // hier+ wrappers (the wrapper delegates robust bases wholesale).
-  std::string base_name = cfg.aggregator;
-  while (base_name.rfind("hier+", 0) == 0) base_name = base_name.substr(5);
-  if ((base_name == "krum" || base_name == "multi-krum") &&
+  if ((cfg.aggregator == "krum" || cfg.aggregator == "multi-krum") &&
       cfg.robust.krum_f >= static_cast<long>(num_clients))
     fail("robust.krum_f (" + std::to_string(cfg.robust.krum_f) +
          ") must be below the client count (" + std::to_string(num_clients) +

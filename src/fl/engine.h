@@ -66,9 +66,7 @@ struct AsyncFlConfig {
 struct FlConfig {
   TrainOptions local;                ///< per-round local training options
   /// "fedavg" | "uniform" | "adaptive" | "krum" | "multi-krum" |
-  /// "trimmed-mean" | "median" | "norm-clip" — optionally prefixed "hier+"
-  /// for two-tier hierarchical reduction (e.g. "hier+fedavg"; edge width
-  /// from robust.hier_edge, output bit-identical to the flat base).
+  /// "trimmed-mean" | "median" | "norm-clip" (fl::make_aggregator).
   std::string aggregator = "fedavg";
   /// Knobs for the Byzantine-robust strategies (configured or hot-swapped);
   /// inert for the weight-based ones.

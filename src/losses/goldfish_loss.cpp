@@ -19,44 +19,23 @@ GoldfishLoss& GoldfishLoss::operator=(const GoldfishLoss& other) {
 
 GoldfishBatchLoss GoldfishLoss::eval(const Tensor& student_logits_r,
                                      const std::vector<long>& labels_r,
-                                     const Tensor& teacher_logits_r) const {
-  return eval(student_logits_r, labels_r, teacher_logits_r, Tensor(), {});
+                                     const Tensor& teacher_logits_r,
+                                     const Tensor& student_logits_f,
+                                     const std::vector<long>& labels_f) const {
+  GoldfishBatchLoss out =
+      eval_remaining(student_logits_r, labels_r, teacher_logits_r);
+  if (student_logits_f.empty()) return out;
+  GoldfishBatchLoss f = eval_forget(student_logits_f, labels_f);
+  out.total += f.total;
+  out.hard_f = f.hard_f;
+  out.confusion = f.confusion;
+  out.grad_f = std::move(f.grad_f);
+  return out;
 }
 
 GoldfishBatchLoss GoldfishLoss::eval_remaining(
     const Tensor& student_logits_r, const std::vector<long>& labels_r,
     const Tensor& teacher_logits_r) const {
-  return eval(student_logits_r, labels_r, teacher_logits_r, Tensor(), {});
-}
-
-GoldfishBatchLoss GoldfishLoss::eval_forget(
-    const Tensor& student_logits_f, const std::vector<long>& labels_f) const {
-  GOLDFISH_CHECK(!student_logits_f.empty(), "forget batch is required");
-  GoldfishBatchLoss out;
-  LossResult hf = hard_->eval(student_logits_f, labels_f);
-  out.hard_f = hf.value;
-  out.grad_f = Tensor(student_logits_f.shape());
-  if (cfg_.use_forget_term) {
-    out.total -= hf.value;
-    if (hf.value < cfg_.forget_cap) {
-      out.grad_f = hf.grad_logits;
-      out.grad_f *= -1.0f;
-    }
-  }
-  if (cfg_.use_confusion) {
-    LossResult c = confusion_loss(student_logits_f);
-    out.confusion = c.value;
-    out.total += cfg_.mu_c * c.value;
-    out.grad_f.add_scaled(c.grad_logits, cfg_.mu_c);
-  }
-  return out;
-}
-
-GoldfishBatchLoss GoldfishLoss::eval(const Tensor& student_logits_r,
-                                     const std::vector<long>& labels_r,
-                                     const Tensor& teacher_logits_r,
-                                     const Tensor& student_logits_f,
-                                     const std::vector<long>& labels_f) const {
   GOLDFISH_CHECK(!student_logits_r.empty(), "remaining batch is required");
   GoldfishBatchLoss out;
 
@@ -80,32 +59,31 @@ GoldfishBatchLoss GoldfishLoss::eval(const Tensor& student_logits_r,
     out.total += cfg_.mu_d * d.value;
     out.grad_r.add_scaled(d.grad_logits, cfg_.mu_d);
   }
+  return out;
+}
 
-  const bool have_forget = !student_logits_f.empty();
-  if (have_forget) {
-    // −L_f — push the student's predictions on D_f away from the true
-    // labels (Eq. 1), saturated at forget_cap (see config comment).
-    LossResult hf = hard_->eval(student_logits_f, labels_f);
-    out.hard_f = hf.value;
-    if (cfg_.use_forget_term) {
-      out.total -= hf.value;
-      if (hf.value < cfg_.forget_cap) {
-        out.grad_f = hf.grad_logits;
-        out.grad_f *= -1.0f;
-      } else {
-        out.grad_f = Tensor(student_logits_f.shape());
-      }
-    } else {
-      out.grad_f = Tensor(student_logits_f.shape());
+GoldfishBatchLoss GoldfishLoss::eval_forget(
+    const Tensor& student_logits_f, const std::vector<long>& labels_f) const {
+  GOLDFISH_CHECK(!student_logits_f.empty(), "forget batch is required");
+  GoldfishBatchLoss out;
+  // −L_f — push the student's predictions on D_f away from the true labels
+  // (Eq. 1), saturated at forget_cap (see config comment).
+  LossResult hf = hard_->eval(student_logits_f, labels_f);
+  out.hard_f = hf.value;
+  out.grad_f = Tensor(student_logits_f.shape());
+  if (cfg_.use_forget_term) {
+    out.total -= hf.value;
+    if (hf.value < cfg_.forget_cap) {
+      out.grad_f = hf.grad_logits;
+      out.grad_f *= -1.0f;
     }
-
-    // µ_c·L_c — confusion loss flattens prediction confidence on D_f.
-    if (cfg_.use_confusion) {
-      LossResult c = confusion_loss(student_logits_f);
-      out.confusion = c.value;
-      out.total += cfg_.mu_c * c.value;
-      out.grad_f.add_scaled(c.grad_logits, cfg_.mu_c);
-    }
+  }
+  // µ_c·L_c — confusion loss flattens prediction confidence on D_f.
+  if (cfg_.use_confusion) {
+    LossResult c = confusion_loss(student_logits_f);
+    out.confusion = c.value;
+    out.total += cfg_.mu_c * c.value;
+    out.grad_f.add_scaled(c.grad_logits, cfg_.mu_c);
   }
   return out;
 }

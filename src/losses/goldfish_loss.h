@@ -55,18 +55,14 @@ class GoldfishLoss {
   void set_temperature(float t) { cfg_.temperature = t; }
 
   /// Full unlearning batch: remaining data with teacher guidance plus a
-  /// (possibly empty) removed batch. Pass empty tensors/labels for D_f when
-  /// the client has no deletion request (Algorithm 1 line 32).
+  /// (possibly empty) removed batch — eval_remaining plus eval_forget. Pass
+  /// empty tensors/labels for D_f when the client has no deletion request
+  /// (Algorithm 1 line 32).
   GoldfishBatchLoss eval(const Tensor& student_logits_r,
                          const std::vector<long>& labels_r,
                          const Tensor& teacher_logits_r,
                          const Tensor& student_logits_f,
                          const std::vector<long>& labels_f) const;
-
-  /// Convenience overload without removed data.
-  GoldfishBatchLoss eval(const Tensor& student_logits_r,
-                         const std::vector<long>& labels_r,
-                         const Tensor& teacher_logits_r) const;
 
   /// Remaining-data terms only (L_r + µ_d·L_d); fills grad_r. The training
   /// loop evaluates D_r and D_f in separate forward/backward passes because

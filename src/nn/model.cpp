@@ -95,23 +95,26 @@ GOLDFISH_HOT void axpy(std::vector<Tensor>& result,
     result[i].add_scaled(delta[i], scale);
 }
 
-GOLDFISH_HOT std::vector<Tensor> weighted_average(
-    const std::vector<const std::vector<Tensor>*>& snaps,
-    const std::vector<float>& weights) {
-  GOLDFISH_CHECK(!snaps.empty(), "no snapshots to average");
-  GOLDFISH_CHECK(snaps.size() == weights.size(), "weights size mismatch");
+void normalize_weights(std::vector<float>& weights) {
   float total = 0.0f;
   for (float w : weights) {
     GOLDFISH_CHECK(w >= 0.0f, "negative aggregation weight");
     total += w;
   }
   GOLDFISH_CHECK(total > 0.0f, "aggregation weights sum to zero");
+  for (float& w : weights) w /= total;
+}
 
-  // First snapshot written in place (out[i] = w0·a0[i] — the same FP ops as
+GOLDFISH_HOT std::vector<Tensor> weighted_fold(
+    const std::vector<const std::vector<Tensor>*>& snaps,
+    const std::vector<float>& coeffs) {
+  GOLDFISH_CHECK(!snaps.empty(), "no snapshots to average");
+  GOLDFISH_CHECK(snaps.size() == coeffs.size(), "weights size mismatch");
+  // First snapshot written in place (out[i] = c0·a0[i] — the same FP ops as
   // the historical copy-then-scale, so results are bit-identical), the rest
   // accumulated with axpy. No input snapshot is ever copied.
   const std::vector<Tensor>& first = *snaps[0];
-  const float w0 = weights[0] / total;
+  const float c0 = coeffs[0];
   std::vector<Tensor> out;
   // goldfish-lint: allow(ALLOC002) output header vector sized once per
   // aggregate; the element FloatBuffers come from the round's buffer pool
@@ -120,25 +123,32 @@ GOLDFISH_HOT std::vector<Tensor> weighted_average(
     Tensor acc = Tensor::uninit(t.shape());
     const float* src = t.data();
     float* dst = acc.data();
-    for (std::size_t i = 0; i < t.numel(); ++i) dst[i] = src[i] * w0;
+    for (std::size_t i = 0; i < t.numel(); ++i) dst[i] = src[i] * c0;
     // goldfish-lint: allow(ALLOC002) within the capacity reserved above
     out.push_back(std::move(acc));
   }
   for (std::size_t s = 1; s < snaps.size(); ++s) {
     GOLDFISH_CHECK(snaps[s]->size() == out.size(),
                    "snapshot layout mismatch");
-    axpy(out, *snaps[s], weights[s] / total);
+    axpy(out, *snaps[s], coeffs[s]);
   }
   return out;
 }
 
+GOLDFISH_HOT std::vector<Tensor> weighted_average(
+    const std::vector<const std::vector<Tensor>*>& snaps,
+    std::vector<float> weights) {
+  normalize_weights(weights);
+  return weighted_fold(snaps, weights);
+}
+
 std::vector<Tensor> weighted_average(
     const std::vector<std::vector<Tensor>>& snaps,
-    const std::vector<float>& weights) {
+    std::vector<float> weights) {
   std::vector<const std::vector<Tensor>*> views;
   views.reserve(snaps.size());
   for (const std::vector<Tensor>& s : snaps) views.push_back(&s);
-  return weighted_average(views, weights);
+  return weighted_average(views, std::move(weights));
 }
 
 float snapshot_distance_sq(const std::vector<Tensor>& a,

@@ -90,19 +90,30 @@ class Model {
 GOLDFISH_HOT void axpy(std::vector<Tensor>& result,
                        const std::vector<Tensor>& delta, float scale);
 
-/// Weighted average of *borrowed* snapshots; weights need not be
-/// normalized. Accumulates in place into freshly sized output tensors — no
-/// snapshot is copied, which is what keeps server aggregation from cloning
-/// the whole federation's parameters every round.
+/// Normalize aggregation weights in place into fold coefficients
+/// w_s / Σw (float total, summed in order). Throws on a negative weight or
+/// a zero total.
+void normalize_weights(std::vector<float>& weights);
+
+/// The weighted fold Σ coeffs[s]·snaps[s] over *borrowed* snapshots: the
+/// first is written in place (out = c0·s0), the rest accumulated with axpy
+/// in order. No snapshot is copied, which is what keeps server aggregation
+/// from cloning the whole federation's parameters every round.
+GOLDFISH_HOT std::vector<Tensor> weighted_fold(
+    const std::vector<const std::vector<Tensor>*>& snaps,
+    const std::vector<float>& coeffs);
+
+/// Weighted average of borrowed snapshots; weights need not be normalized.
+/// normalize_weights, then weighted_fold.
 GOLDFISH_HOT std::vector<Tensor> weighted_average(
     const std::vector<const std::vector<Tensor>*>& snaps,
-    const std::vector<float>& weights);
+    std::vector<float> weights);
 
 /// Owning-container convenience overload (shard aggregation, tests); same
 /// arithmetic, bit-identical result.
 std::vector<Tensor> weighted_average(
     const std::vector<std::vector<Tensor>>& snaps,
-    const std::vector<float>& weights);
+    std::vector<float> weights);
 
 /// Squared L2 distance between two snapshots (model-space metric used in
 /// tests and the B2 baseline's trust region).

@@ -336,12 +336,20 @@ std::vector<Tensor> deserialize_topk(const char* data, std::size_t size) {
   std::vector<Tensor> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    Tensor t = Tensor::uninit(read_record_header(r, kTopKMagic, "top-k"));
+    Shape shape = read_record_header(r, kTopKMagic, "top-k");
+    const std::size_t numel = Tensor::shape_numel(shape);
     const std::uint32_t k = r.take<std::uint32_t>();
-    GOLDFISH_CHECK(k <= t.numel(), "top-k k exceeds element count");
+    // The encoder's own bounds, enforced before anything is allocated: a u32
+    // index space, and k >= 1 for a non-empty tensor (topk_count never
+    // writes 0).
+    GOLDFISH_CHECK(numel < (1ULL << 32), "top-k tensor exceeds u32 indices");
+    GOLDFISH_CHECK(k <= numel, "top-k k exceeds element count");
+    GOLDFISH_CHECK(k >= 1 || numel == 0,
+                   "top-k k is 0 for a non-empty tensor");
     GOLDFISH_CHECK(r.left >= std::size_t(k) * (sizeof(std::uint32_t) +
                                                sizeof(float)),
                    "truncated top-k payload");
+    Tensor t = Tensor::uninit(std::move(shape));
     std::memset(t.data(), 0, t.numel() * sizeof(float));
     const char* idx_bytes = r.p;
     const char* val_bytes = r.p + std::size_t(k) * sizeof(std::uint32_t);

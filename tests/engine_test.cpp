@@ -74,11 +74,15 @@ TEST(FlConfigValidation, RejectsEachBadFieldWithInvalidArgument) {
 
   construct(fast_cfg());  // the baseline config itself is valid
 
-  fl::FlConfig bad = fast_cfg();
-  bad.aggregator = "geometric-median";  // not a registered strategy
-  EXPECT_THROW(construct(bad), std::invalid_argument);
+  // Names the registry does not know (it has no prefix syntax either).
+  for (const char* name : {"geometric-median", "hier+fedavg"}) {
+    fl::FlConfig bad = fast_cfg();
+    bad.aggregator = name;
+    EXPECT_THROW(construct(bad), std::invalid_argument) << name;
+    EXPECT_THROW(fl::make_aggregator(name), CheckError) << name;
+  }
 
-  bad = fast_cfg();
+  fl::FlConfig bad = fast_cfg();
   bad.robust.krum_f = -1;
   EXPECT_THROW(construct(bad), std::invalid_argument);
 
@@ -270,6 +274,55 @@ TEST(Participation, SampledDeterministicAcrossThreadCounts) {
       EXPECT_TRUE(bits_equal(results[0][a].mean_staleness,
                              results[i][a].mean_staleness));
       EXPECT_EQ(results[0][a].bytes_uplinked, results[i][a].bytes_uplinked);
+    }
+  }
+}
+
+// Every server regime is bit-identical at 1, 2 and 8 threads: synchronous
+// barrier rounds, sampled async rounds with staleness decay under the
+// adaptive (MSE-scored) aggregator, and async rounds under a robust one.
+TEST(EngineDeterminism, BitIdenticalAcrossThreadCounts) {
+  struct Config {
+    const char* aggregator;
+    bool sampled;
+    double jitter;
+    double alpha;
+    long buffer;
+  };
+  const Config configs[] = {
+      {"fedavg", false, 0.0, 0.0, 0},    // synchronous barrier rounds
+      {"adaptive", true, 0.25, 0.5, 3},  // sampled + async + staleness
+      {"krum", false, 0.25, 0.5, 5},     // robust, async
+  };
+  for (const Config& c : configs) {
+    std::vector<std::vector<Tensor>> finals;
+    std::vector<std::vector<fl::StepResult>> results;
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      Fed fed = make_fed(6, 180, 40, 1401);
+      fl::FlConfig cfg = fast_cfg();
+      cfg.threads = threads;
+      cfg.aggregator = c.aggregator;
+      cfg.async.buffer_size = c.buffer;
+      cfg.async.staleness_alpha = c.alpha;
+      cfg.async.duration_log_jitter = c.jitter;
+      fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+      fl::Scenario s = eng.async_scenario(4);
+      if (c.sampled)
+        s.participation = std::make_unique<fl::SampledParticipation>(0.7, 99);
+      results.push_back(eng.collect(std::move(s)));
+      finals.push_back(eng.global_model().snapshot());
+    }
+    ASSERT_EQ(results[0].size(), 4u) << c.aggregator;
+    for (std::size_t i = 1; i < finals.size(); ++i) {
+      EXPECT_TRUE(snapshots_bitwise_equal(finals[0], finals[i]))
+          << c.aggregator << " run " << i;
+      ASSERT_EQ(results[0].size(), results[i].size());
+      for (std::size_t a = 0; a < results[0].size(); ++a) {
+        EXPECT_TRUE(bits_equal(results[0][a].global_accuracy,
+                               results[i][a].global_accuracy));
+        EXPECT_EQ(results[0][a].updates_consumed,
+                  results[i][a].updates_consumed);
+      }
     }
   }
 }

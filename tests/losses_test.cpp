@@ -173,11 +173,14 @@ TEST(GoldfishLoss, SplitEvalMatchesCombined) {
   auto full = loss.eval(sr, yr, tr, sf, yf);
   auto r_part = loss.eval_remaining(sr, yr, tr);
   auto f_part = loss.eval_forget(sf, yf);
-  EXPECT_NEAR(full.total, r_part.total + f_part.total, 1e-4f);
+  // The combined eval is the two parts by construction: exact equality.
+  EXPECT_EQ(full.total, r_part.total + f_part.total);
+  ASSERT_EQ(full.grad_r.numel(), r_part.grad_r.numel());
   for (std::size_t i = 0; i < full.grad_r.numel(); ++i)
-    EXPECT_NEAR(full.grad_r[i], r_part.grad_r[i], 1e-6f);
+    EXPECT_EQ(full.grad_r[i], r_part.grad_r[i]);
+  ASSERT_EQ(full.grad_f.numel(), f_part.grad_f.numel());
   for (std::size_t i = 0; i < full.grad_f.numel(); ++i)
-    EXPECT_NEAR(full.grad_f[i], f_part.grad_f[i], 1e-6f);
+    EXPECT_EQ(full.grad_f[i], f_part.grad_f[i]);
 }
 
 TEST(GoldfishLoss, AblationWithoutDistillation) {

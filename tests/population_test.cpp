@@ -1,9 +1,8 @@
 // The population subsystem (src/fl/population/): cold client-state store
 // spill/materialize round trips, content-addressed snapshot dedup and
-// refcounting, the two-tier hierarchical aggregator's bitwise equivalence
-// with flat aggregation, cohort enumeration, and the engine's one commit
-// path over its two backings (hot resident clients, cold records) —
-// including the deletion-on-a-cold-client eviction that must not force a
+// refcounting, cohort enumeration, and the engine's one commit path over
+// its two backings (hot resident clients, cold records) — including the
+// deletion-on-a-cold-client eviction that must not force a
 // materialization, and an aborted run that commits nothing.
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/engine.h"
-#include "fl/population/hierarchical.h"
 #include "fl/population/population.h"
 #include "nn/models.h"
 #include "tensor/serialize.h"
@@ -198,131 +196,6 @@ TEST(SnapshotStore, DedupsIdenticalSnapshotsAndFreesAtZeroRefs) {
   EXPECT_EQ(store.refcount(h2), 0);
   // Invalid handles are inert.
   store.release(fl::population::SnapshotStore::Handle{});
-}
-
-// -- hierarchical aggregation ----------------------------------------------
-
-std::vector<fl::ClientUpdate> make_updates(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<fl::ClientUpdate> ups(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nn::Model m = nn::make_mlp({1, 4, 4}, 8, 3, rng);
-    ups[i].params = m.snapshot();
-    ups[i].dataset_size = static_cast<long>(10 + 7 * i);
-    ups[i].mse = 0.05 + 0.01 * double(i);
-    ups[i].staleness = static_cast<long>(i % 3);
-  }
-  return ups;
-}
-
-TEST(HierarchicalAggregator, BitwiseEqualsFlatForEveryEdgeSize) {
-  const auto ups = make_updates(7, 1301);
-  const std::vector<float> mults = {1.0f, 0.5f, 1.0f, 0.25f,
-                                    1.0f, 0.75f, 1.0f};
-  for (const char* base : {"fedavg", "uniform", "adaptive"}) {
-    const auto flat = fl::make_aggregator(base);
-    for (long edge : {1L, 2L, 3L, 8L, 64L}) {
-      fl::population::HierarchicalAggregator hier(fl::make_aggregator(base),
-                                                  edge);
-      EXPECT_TRUE(snapshots_bitwise_equal(hier.aggregate(ups),
-                                          flat->aggregate(ups)))
-          << base << " edge=" << edge;
-      EXPECT_TRUE(snapshots_bitwise_equal(hier.aggregate(ups, &mults),
-                                          flat->aggregate(ups, &mults)))
-          << base << " edge=" << edge << " (multipliers)";
-      EXPECT_GT(hier.edge_reductions(), 0u);
-    }
-  }
-}
-
-TEST(HierarchicalAggregator, RobustBasesDelegateWholesaleToTheRoot) {
-  const auto ups = make_updates(6, 1302);
-  fl::RobustConfig rc;
-  for (const char* base : {"krum", "trimmed-mean", "median", "norm-clip"}) {
-    const auto flat = fl::make_aggregator(base, rc);
-    rc.hier_edge = 2;
-    const auto hier = fl::make_aggregator(std::string("hier+") + base, rc);
-    EXPECT_TRUE(hier->capabilities().robust);
-    EXPECT_TRUE(
-        snapshots_bitwise_equal(hier->aggregate(ups), flat->aggregate(ups)))
-        << base;
-    // Selection/order statistics do not decompose per edge: the wrapper
-    // must not have run any edge reductions.
-    const auto& h =
-        dynamic_cast<const fl::population::HierarchicalAggregator&>(*hier);
-    EXPECT_EQ(h.edge_reductions(), 0u);
-  }
-}
-
-TEST(HierarchicalAggregator, RegistryComposesAndValidates) {
-  EXPECT_EQ(fl::make_aggregator("hier+fedavg")->name(), "hier+fedavg");
-  EXPECT_EQ(fl::make_aggregator("hier+hier+uniform")->name(),
-            "hier+hier+uniform");
-  EXPECT_THROW(fl::make_aggregator("hier+bogus"), CheckError);
-
-  Fed fed = make_fed(3, 90, 30, 1303);
-  fl::FlConfig cfg = fast_cfg();
-  cfg.aggregator = "hier+bogus";
-  EXPECT_THROW(fl::Engine(fed.global, fed.parts, fed.test, cfg),
-               std::invalid_argument);
-  cfg.aggregator = "hier+fedavg";
-  cfg.robust.hier_edge = 0;
-  EXPECT_THROW(fl::Engine(fed.global, fed.parts, fed.test, cfg),
-               std::invalid_argument);
-}
-
-// Engine-level: "hier+<base>" runs produce bit-identical models to the flat
-// base at 1/2/8 threads, across sampled, async and robust configurations.
-TEST(HierarchicalEngine, BitIdenticalToFlatAcrossThreadCounts) {
-  struct Config {
-    const char* base;
-    bool sampled;
-    double jitter;
-    double alpha;
-    long buffer;
-  };
-  const Config configs[] = {
-      {"fedavg", false, 0.0, 0.0, 0},    // synchronous barrier rounds
-      {"adaptive", true, 0.25, 0.5, 3},  // sampled + async + staleness
-      {"krum", false, 0.25, 0.5, 5},     // robust base, async
-  };
-  for (const Config& c : configs) {
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      Fed flat_fed = make_fed(6, 180, 40, 1401);
-      Fed hier_fed = make_fed(6, 180, 40, 1401);
-      fl::FlConfig cfg = fast_cfg();
-      cfg.threads = threads;
-      cfg.async.buffer_size = c.buffer;
-      cfg.async.staleness_alpha = c.alpha;
-      cfg.async.duration_log_jitter = c.jitter;
-      cfg.robust.hier_edge = 2;
-
-      cfg.aggregator = c.base;
-      fl::Engine flat(flat_fed.global, flat_fed.parts, flat_fed.test, cfg);
-      cfg.aggregator = std::string("hier+") + c.base;
-      fl::Engine hier(hier_fed.global, hier_fed.parts, hier_fed.test, cfg);
-
-      const auto scenario = [&](const fl::Engine& e) {
-        fl::Scenario s = e.async_scenario(4);
-        if (c.sampled)
-          s.participation =
-              std::make_unique<fl::SampledParticipation>(0.7, 99);
-        return s;
-      };
-      const auto a = flat.collect(scenario(flat));
-      const auto b = hier.collect(scenario(hier));
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(std::memcmp(&a[i].global_accuracy, &b[i].global_accuracy,
-                              sizeof(double)),
-                  0);
-        EXPECT_EQ(a[i].updates_consumed, b[i].updates_consumed);
-      }
-      EXPECT_TRUE(snapshots_bitwise_equal(flat.global_model().snapshot(),
-                                          hier.global_model().snapshot()))
-          << c.base << " threads=" << threads;
-    }
-  }
 }
 
 // -- cohort participation --------------------------------------------------

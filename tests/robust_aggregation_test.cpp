@@ -7,7 +7,10 @@
 // timeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -235,6 +238,47 @@ TEST(RobustAggregation, NormClipBoundsAdversarialMass) {
   // Honest zeros contribute nothing; the adversary lands at C/n = 0.5.
   EXPECT_NEAR(agg[0][0], 0.5f, 1e-6f);
   EXPECT_FLOAT_EQ(agg[0][1], 0.0f);
+}
+
+// -- non-finite uploads -----------------------------------------------------
+
+TEST(RobustAggregation, NonFiniteUploadPoisonsNoRobustAggregator) {
+  // Four honest updates and one all-NaN or all-+Inf upload, at every
+  // arrival position (first, the fold's would-be first snapshot, included).
+  Rng rng(31);
+  std::vector<fl::ClientUpdate> honest;
+  for (int i = 0; i < 4; ++i) {
+    fl::ClientUpdate u;
+    u.params.push_back(Tensor::randn({8}, rng));
+    u.dataset_size = 1;
+    honest.push_back(std::move(u));
+  }
+  fl::RobustConfig rc;
+  rc.krum_f = 1;
+  rc.krum_m = 2;
+  rc.trim_fraction = 0.2;
+  for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity()})
+    for (std::size_t at = 0; at <= honest.size(); ++at) {
+      std::vector<fl::ClientUpdate> ups = honest;
+      ups.insert(ups.begin() + static_cast<long>(at),
+                 upd(std::vector<float>(8, poison)));
+      for (const char* name :
+           {"median", "trimmed-mean", "krum", "multi-krum", "norm-clip"}) {
+        const auto agg = fl::make_aggregator(name, rc)->aggregate(ups);
+        for (std::size_t j = 0; j < agg[0].numel(); ++j)
+          EXPECT_TRUE(std::isfinite(agg[0][j]))
+              << name << " poison=" << poison << " at " << at
+              << " coordinate " << j;
+      }
+      const auto krum = fl::make_aggregator("krum", rc)->aggregate(ups);
+      EXPECT_TRUE(std::any_of(honest.begin(), honest.end(),
+                              [&](const fl::ClientUpdate& u) {
+                                return snapshots_bitwise_equal(krum,
+                                                               u.params);
+                              }))
+          << "poison=" << poison << " at " << at;
+    }
 }
 
 // -- the seam: capabilities, weights(), staleness layering ------------------

@@ -45,6 +45,7 @@ std::string list_of(const std::string& rec) {
 
 constexpr std::uint32_t kDense = 0x31544647;      // "GFT1"
 constexpr std::uint32_t kQuantized = 0x31514647;  // "GFQ1"
+constexpr std::uint32_t kTopK = 0x314B4647;       // "GFK1"
 
 }  // namespace fixtures
 
@@ -344,6 +345,20 @@ TEST(SerializeTopK, RejectsCorruptBuffers) {
   std::memcpy(&swapped[idx0], &b, 4);
   std::memcpy(&swapped[idx0 + 4], &a, 4);
   EXPECT_THROW(deserialize_topk(swapped.data(), swapped.size()), CheckError);
+  // Headers outside the encoder's own bounds, rejected before allocating:
+  // 32 bytes claiming [2^20, 2^20] (past the u32 index space) with k = 0,
+  // and k = 0 for a non-empty tensor (topk_count never writes 0).
+  const auto k0_square = [](std::int64_t dim) {
+    std::string rec = fixtures::record(fixtures::kTopK, {dim, dim}, 0);
+    fixtures::append_u32(rec, 0);  // k
+    return fixtures::list_of(rec);
+  };
+  const std::string oversized = k0_square(1 << 20);
+  ASSERT_EQ(oversized.size(), 32u);
+  EXPECT_THROW(deserialize_topk(oversized.data(), oversized.size()),
+               CheckError);
+  const std::string empty_k = k0_square(3);
+  EXPECT_THROW(deserialize_topk(empty_k.data(), empty_k.size()), CheckError);
 }
 
 TEST(Serialize, RoundtripThroughBytesCountsWire) {
