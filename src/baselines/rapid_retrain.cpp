@@ -19,12 +19,10 @@ std::vector<Tensor> diagonal_fim(nn::Model& model, const data::Dataset& ds,
     fim.push_back(Tensor::zeros(p.value->shape()));
 
   long batches = 0;
-  const long n = ds.size();
-  for (long lo = 0; lo < n; lo += batch_size) {
-    const long hi = std::min(n, lo + batch_size);
-    std::vector<std::size_t> idx;
-    for (long i = lo; i < hi; ++i) idx.push_back(std::size_t(i));
-    auto [x, y] = ds.batch(idx);
+  std::vector<long> y;
+  ds.for_each_chunk(batch_size, [&](const Tensor& x, const long* yp,
+                                    long rows) {
+    y.assign(yp, yp + rows);
     const Tensor& logits = model.forward(x, /*train=*/true);
     losses::LossResult r = loss.eval(logits, y);
     model.backward(r.grad_logits);
@@ -37,7 +35,7 @@ std::vector<Tensor> diagonal_fim(nn::Model& model, const data::Dataset& ds,
       params[i].grad->zero();
     }
     ++batches;
-  }
+  });
   for (Tensor& f : fim) f *= (1.0f / static_cast<float>(batches));
   return fim;
 }

@@ -1,9 +1,11 @@
 // In-memory labeled dataset and batching utilities.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "nn/models.h"
+#include "tensor/check.h"
 #include "tensor/tensor.h"
 
 namespace goldfish::data {
@@ -39,6 +41,25 @@ struct Dataset {
   /// (no index vector, no per-row gather) plus a pointer into the label
   /// array. The sequential-evaluation fast path.
   std::pair<Tensor, const long*> batch_view(long lo, long hi) const;
+
+  /// The one in-order walk over the rows: fn(x, labels, rows) for each
+  /// contiguous range of at most `chunk` rows. A chunk covering the whole
+  /// set passes `features` itself (zero-copy); smaller chunks are
+  /// batch_view slices.
+  template <typename Fn>
+  void for_each_chunk(long chunk, Fn&& fn) const {
+    GOLDFISH_CHECK(chunk > 0, "row walk needs a positive chunk");
+    const long n = size();
+    if (chunk >= n) {
+      fn(features, labels.data(), n);
+      return;
+    }
+    for (long lo = 0; lo < n; lo += chunk) {
+      const long hi = std::min(n, lo + chunk);
+      const auto [x, y] = batch_view(lo, hi);
+      fn(x, y, hi - lo);
+    }
+  }
 
   /// Per-class sample counts (histogram of labels).
   std::vector<long> class_histogram() const;

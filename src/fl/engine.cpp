@@ -59,7 +59,6 @@ FlConfig validated(FlConfig cfg, std::size_t num_clients) {
     fail("async.mean_duration must be positive");
   if (!(cfg.async.duration_log_jitter >= 0.0))
     fail("async.duration_log_jitter must be >= 0");
-  if (cfg.eval_batch < 0) fail("eval_batch must be >= 0 (0 means auto)");
   return cfg;
 }
 
@@ -201,7 +200,7 @@ Engine::Engine(nn::Model global, population::Population pop,
       test_(std::move(server_test)),
       cfg_(validated(std::move(cfg), num_clients())),
       sched_(&runtime::scheduler_for(cfg_.threads, owned_sched_)),
-      eval_(test_, cfg_.eval_batch) {
+      eval_(test_) {
   GOLDFISH_CHECK(num_clients() > 0, "engine needs clients");
   GOLDFISH_CHECK(!test_.empty(), "engine needs a server test set");
   stackable_ = stackable_mlp();
@@ -270,7 +269,7 @@ std::size_t Engine::active_clients() const {
 bool Engine::stackable_mlp() const {
   // The `mlp<h>` factory family: Sequential[Linear → ReLU → Linear], whose
   // parameters are exactly [W1 (h,D), b1 (h), W2 (K,h), b2 (K)]. Anything
-  // else (conv nets, deeper stacks) evaluates per client through the pool.
+  // else (conv nets, deeper stacks) is scored per update through the pool.
   if (global_.arch_name().rfind("mlp", 0) != 0) return false;
   const auto ps = global_.params();
   if (ps.size() != 4) return false;
@@ -281,8 +280,28 @@ bool Engine::stackable_mlp() const {
          ps[2].value->dim(0) == ps[3].value->dim(0);
 }
 
-void Engine::stacked_local_accuracy(const std::vector<ClientUpdate>& updates,
-                                    std::vector<double>& local_acc) {
+void Engine::score_updates(std::vector<ClientUpdate>& updates, bool with_mse,
+                           std::vector<double>& local_acc) {
+  if (stackable_) {
+    stacked_score(updates, with_mse, local_acc);
+    return;
+  }
+  // grain=1: one body is a full-model forward over the test set.
+  sched_->parallel_map(
+      updates.size(),
+      [&](std::size_t i) {
+        ModelLease lease(*this);
+        nn::Model& scratch = lease.get();
+        scratch.load(updates[i].params);
+        const metrics::Score s = eval_.score(scratch, with_mse);
+        local_acc[i] = s.accuracy;
+        updates[i].mse = s.mse;
+      },
+      /*grain=*/1);
+}
+
+void Engine::stacked_score(std::vector<ClientUpdate>& updates, bool with_mse,
+                           std::vector<double>& local_acc) {
   const long n = static_cast<long>(updates.size());
   const long h = updates[0].params[0].dim(0);   // hidden width per client
   const long d = updates[0].params[0].dim(1);   // input features
@@ -302,29 +321,14 @@ void Engine::stacked_local_accuracy(const std::vector<ClientUpdate>& updates,
                 static_cast<std::size_t>(h) * sizeof(float));
   }
 
+  // Bound the stacked activation block at ~2^24 floats (chunk × K·h).
   const long rows_total = test_.size();
-  // Bound the stacked activation block (chunk × K·h floats) when no explicit
-  // evaluation batch is configured.
-  long chunk = cfg_.eval_batch;
-  if (chunk == 0 && rows_total * nh > (1L << 24))
-    chunk = std::max(256L, (1L << 24) / nh);
-  if (chunk == 0 || chunk > rows_total) chunk = rows_total;
-
+  const long chunk = rows_total * nh > (1L << 24)
+                         ? std::max(256L, (1L << 24) / nh)
+                         : rows_total;
   std::vector<long> correct(static_cast<std::size_t>(n), 0);
-  for (long lo = 0; lo < rows_total; lo += chunk) {
-    const long hi = std::min(rows_total, lo + chunk);
-    const long rows = hi - lo;
-    const bool whole = lo == 0 && hi == rows_total;
-    Tensor x_chunk;
-    const long* y;
-    if (whole) {
-      y = test_.labels.data();
-    } else {
-      auto view = test_.batch_view(lo, hi);
-      x_chunk = std::move(view.first);
-      y = view.second;
-    }
-    const Tensor& x = whole ? test_.features : x_chunk;
+  std::vector<double> sq_err(static_cast<std::size_t>(n), 0.0);
+  test_.for_each_chunk(chunk, [&](const Tensor& x, const long* y, long rows) {
     // All clients' hidden activations in one fused GEMM: relu(x·Wᵀ + b),
     // exactly the peepholed Linear→ReLU forward, column block c = client c.
     gemm_fused_into(stacked_y_, x, stacked_w_, false, true,
@@ -344,13 +348,17 @@ void Engine::stacked_local_accuracy(const std::vector<ClientUpdate>& updates,
                          w2.data(), h, logits.data(), k, /*beta=*/0.0f,
                          runtime::Epilogue::kBiasCol, b2.data());
           correct[c] += metrics::correct_predictions(logits, y, rows);
+          if (with_mse)
+            metrics::accumulate_squared_error(softmax_rows(logits), y, rows,
+                                              sq_err[c]);
         },
         /*grain=*/1);
+  });
+  for (std::size_t c = 0; c < updates.size(); ++c) {
+    local_acc[c] = 100.0 * double(correct[c]) / double(rows_total);
+    updates[c].mse =
+        sq_err[c] / (double(rows_total) * double(test_.num_classes));
   }
-  for (long c = 0; c < n; ++c)
-    local_acc[static_cast<std::size_t>(c)] =
-        100.0 * double(correct[static_cast<std::size_t>(c)]) /
-        double(rows_total);
 }
 
 // -- scenario validation and Phase A (schedule construction) ---------------
@@ -839,11 +847,6 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
   const WirePolicy* wirep = scenario.wire.get();
   const bool hold_ref = wirep->needs_reference();
   const bool lossy = !wirep->lossless();
-  // Per-task local accuracy for architectures whose evaluation cannot be
-  // stacked: measured on the still-leased replica right after training,
-  // like the historical synchronous round did.
-  const bool eval_in_task = scenario.local_accuracy && !stackable_;
-  std::vector<double> task_local_acc(eval_in_task ? num_tasks : 0, 0.0);
   const long round_base = round_;
 
   const auto submit_version = [&](std::size_t v) {
@@ -855,8 +858,7 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
       futures[id] = sched_->submit([this, id, &plan, &epoch_data,
                                     &version_params, &version_refs,
                                     &task_updates, &wire_bytes, &task_err,
-                                    &task_local_acc, eval_in_task, wirep,
-                                    hold_ref, lossy, round_base] {
+                                    wirep, hold_ref, lossy, round_base] {
         const Schedule::Task& tp = plan.tasks[id];
         const std::size_t from_v = static_cast<std::size_t>(tp.from_version);
         ModelLease lease(*this);
@@ -889,7 +891,6 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
           version_params[from_v].clear();
         task_updates[id].dataset_size = ds.size();
         task_updates[id].staleness = tp.staleness;
-        if (eval_in_task) task_local_acc[id] = eval_.accuracy(local);
       });
     }
   };
@@ -918,18 +919,10 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
       }
       r.upload_bytes = wire_bytes[ap.tasks.front()];
       r.encode_error /= double(ap.tasks.size());
-      if (agg.capabilities().needs_mse) {
-        // grain=1: one body is a full-model MSE evaluation.
-        sched_->parallel_map(
-            updates.size(),
-            [&](std::size_t i) {
-              ModelLease lease(*this);
-              nn::Model& scratch = lease.get();
-              scratch.load(updates[i].params);
-              updates[i].mse = eval_.mse(scratch);
-            },
-            /*grain=*/1);
-      }
+      const bool with_mse = agg.capabilities().needs_mse;
+      std::vector<double> local_acc(updates.size(), 0.0);
+      if (with_mse || scenario.local_accuracy)
+        score_updates(updates, with_mse, local_acc);
       std::vector<Tensor> merged = agg.aggregate(updates);
       global_.load(merged);
       version_params[static_cast<std::size_t>(a) + 1] = std::move(merged);
@@ -958,13 +951,6 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
       r.active_clients = ap.active_clients;
       r.aggregator = agg.name();
       if (scenario.local_accuracy) {
-        std::vector<double> local_acc(updates.size(), 0.0);
-        if (stackable_) {
-          stacked_local_accuracy(updates, local_acc);
-        } else {
-          for (std::size_t i = 0; i < ap.tasks.size(); ++i)
-            local_acc[i] = task_local_acc[ap.tasks[i]];
-        }
         r.has_local_accuracy = true;
         r.min_local_accuracy =
             *std::min_element(local_acc.begin(), local_acc.end());

@@ -63,6 +63,10 @@ struct AsyncFlConfig {
   double duration_log_jitter = 0.25;
 };
 
+/// Engine configuration, validated by the constructor. Server-side scoring
+/// has no knob here: its chunk sizes are fixed memory bounds (2^21 input
+/// floats per forward, 2^24 floats for the stacked `mlp<h>` activations),
+/// and accuracy and MSE are bit-identical under any chunking.
 struct FlConfig {
   TrainOptions local;                ///< per-round local training options
   /// "fedavg" | "uniform" | "adaptive" | "krum" | "multi-krum" |
@@ -77,10 +81,6 @@ struct FlConfig {
   /// kernels inside them still use the global pool, so to pin the whole
   /// process set GOLDFISH_THREADS instead.
   std::size_t threads = 0;
-  /// Rows per server-side evaluation batch; 0 (default) auto-bounds the
-  /// chunk (~2^21 input floats; sets below that run as one fused forward
-  /// pass per model). Accuracy/MSE are bit-identical for any value.
-  long eval_batch = 0;
   std::uint64_t seed = 7;
   /// Buffered-asynchronous mode parameters (defaults for async scenarios).
   AsyncFlConfig async;
@@ -214,8 +214,10 @@ struct Scenario {
   std::vector<AuditEvent> audits;
   /// Staleness decay exponent for this run; negative → cfg.async value.
   double staleness_alpha = -1.0;
-  /// Compute per-client local accuracies for every aggregation (the
-  /// synchronous round's telemetry; costs one evaluation per update).
+  /// Report per-client local accuracy for every aggregation (the
+  /// synchronous round's telemetry): each consumed update is scored on the
+  /// server test set as decoded from the wire. Costs one forward per update,
+  /// or nothing extra when the aggregator already scores it for MSE.
   bool local_accuracy = false;
 };
 
@@ -244,8 +246,10 @@ struct StepResult {
   double encode_error = 0.0;
   std::size_t active_clients = 0;  ///< federation size after joins/leaves
   std::string aggregator;          ///< strategy that produced this step
-  /// Per-client local accuracy over the consumed updates; populated only
-  /// when Scenario::local_accuracy is set.
+  /// Per-client local accuracy of the consumed updates — the decoded
+  /// parameters the server aggregates, from the same forward pass as their
+  /// adaptive-weight MSE; populated only when Scenario::local_accuracy is
+  /// set.
   bool has_local_accuracy = false;
   double min_local_accuracy = 0.0;
   double max_local_accuracy = 0.0;
@@ -396,13 +400,19 @@ class Engine {
   /// True when the global model is a two-layer MLP (the `mlp<h>` family),
   /// whose per-client evaluation can be stacked into one wide GEMM.
   bool stackable_mlp() const;
-  /// Batched client evaluation: concatenate every update's hidden-layer
-  /// weights into one (K·h, D) matrix so a single fused GEMM per test chunk
-  /// computes all clients' hidden activations, then run each client's
-  /// logits head on its strided slice. Bit-identical to evaluating the
-  /// clients one at a time.
-  void stacked_local_accuracy(const std::vector<ClientUpdate>& updates,
-                              std::vector<double>& local_acc);
+  /// The server's one scoring step over a buffer of consumed updates: each
+  /// decoded update's local accuracy on the test set into `local_acc`, and
+  /// (when `with_mse`) its MSE into ClientUpdate::mse — both from one
+  /// forward pass. `mlp<h>` takes the stacked pass; every other
+  /// architecture one leased-replica forward per update.
+  void score_updates(std::vector<ClientUpdate>& updates, bool with_mse,
+                     std::vector<double>& local_acc);
+  /// The stacked pass: concatenate every update's hidden-layer weights into
+  /// one (K·h, D) matrix so a single fused GEMM per test chunk computes all
+  /// clients' hidden activations, then run each client's logits head on
+  /// its strided slice. Bit-identical to scoring the clients one at a time.
+  void stacked_score(std::vector<ClientUpdate>& updates, bool with_mse,
+                     std::vector<double>& local_acc);
 
   // Declared first so it is destroyed last: models returning to the pool on
   // teardown park their storage here before the scope drains it.
@@ -432,7 +442,7 @@ class Engine {
   std::vector<std::unique_ptr<nn::Model>> pool_;  // free replicas
   std::size_t pool_total_ = 0;                    // replicas ever created
 
-  // Stacked-evaluation scratch, reused across rounds.
+  // Stacked-scoring scratch, reused across rounds.
   Tensor stacked_w_, stacked_b_, stacked_y_;
   bool stackable_ = false;  // computed once: the architecture never changes
 };

@@ -9,20 +9,15 @@ namespace goldfish::metrics {
 
 namespace {
 
-/// Run fn(logits, labels, rows) over the dataset in sequential batches (no
-/// shuffling). Batches are contiguous row ranges, so batch_view's straight
-/// copy replaces the index-vector + per-row gather the old path did.
+/// fn(logits, labels, rows) over the dataset's row walk, `chunk` rows per
+/// eval-mode forward.
 template <typename Fn>
-void for_batches(nn::Model& model, const data::Dataset& ds, long batch_size,
-                 Fn&& fn) {
+void for_logits(nn::Model& model, const data::Dataset& ds, long chunk,
+                Fn&& fn) {
   GOLDFISH_CHECK(!ds.empty(), "evaluating on an empty dataset");
-  const long n = ds.size();
-  for (long lo = 0; lo < n; lo += batch_size) {
-    const long hi = std::min(n, lo + batch_size);
-    auto [x, y] = ds.batch_view(lo, hi);
-    const Tensor& logits = model.forward(x, /*train=*/false);
-    fn(logits, y, hi - lo);
-  }
+  ds.for_each_chunk(chunk, [&](const Tensor& x, const long* y, long rows) {
+    fn(model.forward(x, /*train=*/false), y, rows);
+  });
 }
 
 }  // namespace
@@ -60,60 +55,57 @@ void accumulate_squared_error(const Tensor& probs, const long* labels,
   }
 }
 
-double accuracy(nn::Model& model, const data::Dataset& ds, long batch_size) {
+double accuracy(nn::Model& model, const data::Dataset& ds) {
   long correct = 0;
-  for_batches(model, ds, batch_size,
-              [&](const Tensor& logits, const long* y, long rows) {
-                correct += correct_predictions(logits, y, rows);
-              });
+  for_logits(model, ds, kEvalBatch,
+             [&](const Tensor& logits, const long* y, long rows) {
+               correct += correct_predictions(logits, y, rows);
+             });
   return 100.0 * double(correct) / double(ds.size());
 }
 
-double attack_success_rate(nn::Model& model, const data::Dataset& probe,
-                           long batch_size) {
+double attack_success_rate(nn::Model& model, const data::Dataset& probe) {
   if (probe.empty()) return 0.0;
-  return accuracy(model, probe, batch_size);
+  return accuracy(model, probe);
 }
 
-double mse(nn::Model& model, const data::Dataset& ds, long batch_size) {
+double mse(nn::Model& model, const data::Dataset& ds) {
   double total = 0.0;
-  for_batches(model, ds, batch_size,
-              [&](const Tensor& logits, const long* y, long rows) {
-                accumulate_squared_error(softmax_rows(logits), y, rows,
-                                         total);
-              });
+  for_logits(model, ds, kEvalBatch,
+             [&](const Tensor& logits, const long* y, long rows) {
+               accumulate_squared_error(softmax_rows(logits), y, rows, total);
+             });
   return total / (double(ds.size()) * double(ds.num_classes));
 }
 
-std::vector<double> mean_prediction(nn::Model& model, const data::Dataset& ds,
-                                    long batch_size) {
+std::vector<double> mean_prediction(nn::Model& model,
+                                    const data::Dataset& ds) {
   std::vector<double> mean(static_cast<std::size_t>(ds.num_classes), 0.0);
-  for_batches(model, ds, batch_size,
-              [&](const Tensor& logits, const long*, long rows) {
-                const Tensor p = softmax_rows(logits);
-                for (long i = 0; i < rows; ++i)
-                  for (long j = 0; j < p.dim(1); ++j)
-                    mean[static_cast<std::size_t>(j)] += p.at(i, j);
-              });
+  for_logits(model, ds, kEvalBatch,
+             [&](const Tensor& logits, const long*, long rows) {
+               const Tensor p = softmax_rows(logits);
+               for (long i = 0; i < rows; ++i)
+                 for (long j = 0; j < p.dim(1); ++j)
+                   mean[static_cast<std::size_t>(j)] += p.at(i, j);
+             });
   for (double& v : mean) v /= double(ds.size());
   return mean;
 }
 
 std::vector<double> confidence_series(nn::Model& model,
-                                      const data::Dataset& ds,
-                                      long batch_size) {
+                                      const data::Dataset& ds) {
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(ds.size()));
-  for_batches(model, ds, batch_size,
-              [&](const Tensor& logits, const long*, long rows) {
-                const Tensor p = softmax_rows(logits);
-                for (long i = 0; i < rows; ++i) {
-                  float mx = 0.0f;
-                  for (long j = 0; j < p.dim(1); ++j)
-                    mx = std::max(mx, p.at(i, j));
-                  out.push_back(mx);
-                }
-              });
+  for_logits(model, ds, kEvalBatch,
+             [&](const Tensor& logits, const long*, long rows) {
+               const Tensor p = softmax_rows(logits);
+               for (long i = 0; i < rows; ++i) {
+                 float mx = 0.0f;
+                 for (long j = 0; j < p.dim(1); ++j)
+                   mx = std::max(mx, p.at(i, j));
+                 out.push_back(mx);
+               }
+             });
   return out;
 }
 
@@ -126,42 +118,28 @@ BatchedEvaluator::BatchedEvaluator(const data::Dataset& ds, long chunk_rows)
   // paper's models) stay modest even with several pooled models evaluating
   // concurrently. Results are chunking-invariant, so this is purely a
   // memory knob.
-  if (chunk_ == 0 && ds.size() * ds.features.dim(1) > (1L << 21))
-    chunk_ = std::max(256L, (1L << 21) / ds.features.dim(1));
+  if (chunk_ == 0)
+    chunk_ = ds.size() * ds.features.dim(1) > (1L << 21)
+                 ? std::max(256L, (1L << 21) / ds.features.dim(1))
+                 : ds.size();
 }
 
-template <typename Fn>
-void BatchedEvaluator::for_chunks(nn::Model& model, Fn&& fn) const {
-  const long n = ds_->size();
-  if (chunk_ == 0 || chunk_ >= n) {
-    // Whole-set fast path: the stacked feature matrix goes through the
-    // model directly — no batch copy at all.
-    const Tensor& logits = model.forward(ds_->features, /*train=*/false);
-    fn(logits, ds_->labels.data(), n);
-    return;
-  }
-  for (long lo = 0; lo < n; lo += chunk_) {
-    const long hi = std::min(n, lo + chunk_);
-    auto [x, y] = ds_->batch_view(lo, hi);
-    const Tensor& logits = model.forward(x, /*train=*/false);
-    fn(logits, y, hi - lo);
-  }
+Score BatchedEvaluator::score(nn::Model& model, bool with_mse) const {
+  long correct = 0;
+  double total = 0.0;
+  for_logits(model, *ds_, chunk_,
+             [&](const Tensor& logits, const long* y, long rows) {
+               correct += correct_predictions(logits, y, rows);
+               if (with_mse)
+                 accumulate_squared_error(softmax_rows(logits), y, rows,
+                                          total);
+             });
+  return {100.0 * double(correct) / double(ds_->size()),
+          total / (double(ds_->size()) * double(ds_->num_classes))};
 }
 
 double BatchedEvaluator::accuracy(nn::Model& model) const {
-  long correct = 0;
-  for_chunks(model, [&](const Tensor& logits, const long* y, long rows) {
-    correct += correct_predictions(logits, y, rows);
-  });
-  return 100.0 * double(correct) / double(ds_->size());
-}
-
-double BatchedEvaluator::mse(nn::Model& model) const {
-  double total = 0.0;
-  for_chunks(model, [&](const Tensor& logits, const long* y, long rows) {
-    accumulate_squared_error(softmax_rows(logits), y, rows, total);
-  });
-  return total / (double(ds_->size()) * double(ds_->num_classes));
+  return score(model, /*with_mse=*/false).accuracy;
 }
 
 }  // namespace goldfish::metrics

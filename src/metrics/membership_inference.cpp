@@ -2,37 +2,29 @@
 
 #include <algorithm>
 
+#include "metrics/evaluation.h"
 #include "tensor/check.h"
 #include "tensor/ops.h"
 
 namespace goldfish::metrics {
 
 std::vector<double> true_label_confidences(nn::Model& model,
-                                           const data::Dataset& ds,
-                                           long batch_size) {
+                                           const data::Dataset& ds) {
   GOLDFISH_CHECK(!ds.empty(), "confidences of an empty dataset");
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(ds.size()));
-  const long n = ds.size();
-  for (long lo = 0; lo < n; lo += batch_size) {
-    const long hi = std::min(n, lo + batch_size);
-    std::vector<std::size_t> idx;
-    for (long i = lo; i < hi; ++i) idx.push_back(std::size_t(i));
-    auto [x, y] = ds.batch(idx);
+  ds.for_each_chunk(kEvalBatch, [&](const Tensor& x, const long* y,
+                                    long rows) {
     const Tensor p = softmax_rows(model.forward(x, /*train=*/false));
-    for (long i = 0; i < p.dim(0); ++i)
-      out.push_back(p.at(i, y[static_cast<std::size_t>(i)]));
-  }
+    for (long i = 0; i < rows; ++i) out.push_back(p.at(i, y[i]));
+  });
   return out;
 }
 
 MiaResult membership_inference(nn::Model& model, const data::Dataset& members,
-                               const data::Dataset& nonmembers,
-                               long batch_size) {
-  const std::vector<double> mc =
-      true_label_confidences(model, members, batch_size);
-  const std::vector<double> nc =
-      true_label_confidences(model, nonmembers, batch_size);
+                               const data::Dataset& nonmembers) {
+  const std::vector<double> mc = true_label_confidences(model, members);
+  const std::vector<double> nc = true_label_confidences(model, nonmembers);
 
   MiaResult r;
   for (double c : mc) r.member_confidence += c;

@@ -31,12 +31,10 @@ struct MiaResult {
 /// `members` are samples that were (or may have been) trained on;
 /// `nonmembers` are drawn from the same distribution but never trained on.
 MiaResult membership_inference(nn::Model& model, const data::Dataset& members,
-                               const data::Dataset& nonmembers,
-                               long batch_size = 256);
+                               const data::Dataset& nonmembers);
 
 /// Per-sample true-label confidences (exposed for tests and custom audits).
 std::vector<double> true_label_confidences(nn::Model& model,
-                                           const data::Dataset& ds,
-                                           long batch_size = 256);
+                                           const data::Dataset& ds);
 
 }  // namespace goldfish::metrics

@@ -57,14 +57,33 @@ Tensor read_tensor(std::istream& is) {
   const std::uint32_t rank = read_u32(is);
   GOLDFISH_CHECK(rank <= 8, "implausible tensor rank");
   Shape shape(rank);
+  std::size_t numel = 1;
   for (std::uint32_t i = 0; i < rank; ++i) {
     shape[i] = read_i64(is);
     GOLDFISH_CHECK(shape[i] >= 0 && shape[i] < (1L << 32), "bad dim");
+    const auto dim = static_cast<std::size_t>(shape[i]);
+    GOLDFISH_CHECK(dim == 0 || numel <= (std::size_t{1} << 60) / dim,
+                   "implausible tensor size");
+    numel *= dim;
   }
-  Tensor t(shape);
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  GOLDFISH_CHECK(bool(is), "truncated tensor payload");
+  // A stream cannot say how many bytes remain, so the payload arrives in
+  // bounded pieces: memory is committed at most one piece ahead of the
+  // bytes delivered, and a header claiming a huge shape over a short stream
+  // fails as truncated instead of allocating the claimed size.
+  constexpr std::size_t kPiece = std::size_t{1} << 18;  // floats (1 MiB)
+  std::vector<std::vector<float>> pieces;
+  for (std::size_t left = numel; left > 0;) {
+    const std::size_t n = std::min(left, kPiece);
+    pieces.emplace_back(n);
+    is.read(reinterpret_cast<char*>(pieces.back().data()),
+            static_cast<std::streamsize>(n * sizeof(float)));
+    GOLDFISH_CHECK(bool(is), "truncated tensor payload");
+    left -= n;
+  }
+  Tensor t = Tensor::uninit(std::move(shape));
+  float* out = t.data();
+  for (const std::vector<float>& p : pieces)
+    out = std::copy(p.begin(), p.end(), out);
   return t;
 }
 
@@ -189,16 +208,6 @@ std::vector<Tensor> deserialize_tensors(const char* data, std::size_t size) {
     out.push_back(std::move(t));
   }
   return out;
-}
-
-std::vector<Tensor> roundtrip_through_bytes(const std::vector<Tensor>& ts,
-                                            std::size_t* bytes_on_wire) {
-  // One wire buffer per worker thread: client uploads are encoded inside
-  // scheduler tasks, and the buffer's capacity is reused round after round.
-  static thread_local std::string wire;
-  serialize_tensors(ts, wire);
-  if (bytes_on_wire != nullptr) *bytes_on_wire = wire.size();
-  return deserialize_tensors(wire.data(), wire.size());
 }
 
 // -- compressed wire records ------------------------------------------------

@@ -54,12 +54,6 @@ GOLDFISH_HOT void append_tensor_record(std::string& out, const Tensor& t);
 GOLDFISH_HOT void read_tensor_record_into(const char* data, std::size_t size,
                                           std::size_t* offset, Tensor& t);
 
-/// Round-trip through an in-memory buffer; used by the FL transport to model
-/// the serialize-upload-deserialize path clients take in a real deployment.
-/// The wire buffer is thread_local and reused across calls.
-std::vector<Tensor> roundtrip_through_bytes(const std::vector<Tensor>& ts,
-                                            std::size_t* bytes_on_wire);
-
 // -- compressed wire records (docs/wire-format.md) --------------------------
 //
 // Same list framing as serialize_tensors (count:u32, then one record per

@@ -139,10 +139,6 @@ TEST(FlConfigValidation, RejectsEachBadFieldWithInvalidArgument) {
   bad = fast_cfg();
   bad.async.duration_log_jitter = -0.25;
   EXPECT_THROW(construct(bad), std::invalid_argument);
-
-  bad = fast_cfg();
-  bad.eval_batch = -8;
-  EXPECT_THROW(construct(bad), std::invalid_argument);
 }
 
 TEST(FlConfigValidation, MessagesNameTheField) {

@@ -121,6 +121,17 @@ TEST(Serialize, LoadRejectsOversizedDimsBeforeAllocating) {
   std::remove(path.c_str());
 }
 
+TEST(Serialize, ReadTensorRejectsOversizedDimsBeforeAllocating) {
+  // 28 bytes: one GFT1 record claiming [2^20, 2^20] floats (4 TiB) with one
+  // float of payload behind it. The stream reader must throw a typed error,
+  // not std::bad_alloc.
+  const std::string bytes =
+      fixtures::record(fixtures::kDense, {1 << 20, 1 << 20}, 4);
+  ASSERT_EQ(bytes.size(), 28u);
+  std::stringstream ss(bytes, std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_tensor(ss), CheckError);
+}
+
 TEST(Serialize, BufferPathMatchesStreamBytes) {
   // serialize_tensors must emit exactly the bytes the stream writer does —
   // the wire format is shared with save_tensors files.
@@ -359,18 +370,6 @@ TEST(SerializeTopK, RejectsCorruptBuffers) {
                CheckError);
   const std::string empty_k = k0_square(3);
   EXPECT_THROW(deserialize_topk(empty_k.data(), empty_k.size()), CheckError);
-}
-
-TEST(Serialize, RoundtripThroughBytesCountsWire) {
-  Rng rng(4);
-  std::vector<Tensor> ts;
-  ts.push_back(Tensor::randn({8, 8}, rng));
-  std::size_t bytes = 0;
-  auto back = roundtrip_through_bytes(ts, &bytes);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_GT(bytes, 64u * sizeof(float));  // payload plus headers
-  for (std::size_t i = 0; i < ts[0].numel(); ++i)
-    EXPECT_FLOAT_EQ(back[0][i], ts[0][i]);
 }
 
 }  // namespace

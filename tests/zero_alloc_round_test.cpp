@@ -235,27 +235,34 @@ TEST(ZeroAllocRound, BatchedEvaluatorMatchesAnyChunking) {
   const double want_mse = metrics::mse(m, tt.test);
   for (long chunk : {0L, 1L, 7L, 64L, 256L, 1000L}) {
     metrics::BatchedEvaluator ev(tt.test, chunk);
+    const metrics::Score s = ev.score(m, /*with_mse=*/true);
     EXPECT_TRUE(bits_equal(ev.accuracy(m), want_acc)) << "chunk " << chunk;
-    EXPECT_TRUE(bits_equal(ev.mse(m), want_mse)) << "chunk " << chunk;
+    EXPECT_TRUE(bits_equal(s.accuracy, want_acc)) << "chunk " << chunk;
+    EXPECT_TRUE(bits_equal(s.mse, want_mse)) << "chunk " << chunk;
   }
 }
 
 TEST(ZeroAllocRound, SteadyStateRoundsAllocateNothing) {
   if (!alloc_stats::enabled())
     GTEST_SKIP() << "built without GOLDFISH_ALLOC_STATS";
-  for (const char* arch : {"mlp16", "lenet5"}) {
-    Fed fed = make_fed(arch, 3, 150, 60, 113);
-    fl::FlConfig cfg;
-    cfg.local.epochs = 1;
-    cfg.local.batch_size = 25;
-    fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
-    run_round(eng);  // warm-up: pool, arenas, recycler all sized here
-    run_round(eng);
-    for (long r = 0; r < 2; ++r) {
-      const std::size_t before = alloc_stats::heap_allocations();
+  // Both sides of the scoring fork (stacked mlp, per-model conv), with and
+  // without the adaptive aggregator's MSE.
+  for (const char* agg : {"fedavg", "adaptive"}) {
+    for (const char* arch : {"mlp16", "lenet5"}) {
+      Fed fed = make_fed(arch, 3, 150, 60, 113);
+      fl::FlConfig cfg;
+      cfg.aggregator = agg;
+      cfg.local.epochs = 1;
+      cfg.local.batch_size = 25;
+      fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+      run_round(eng);  // warm-up: pool, arenas, recycler all sized here
       run_round(eng);
-      EXPECT_EQ(alloc_stats::heap_allocations() - before, 0u)
-          << arch << " round " << r;
+      for (long r = 0; r < 2; ++r) {
+        const std::size_t before = alloc_stats::heap_allocations();
+        run_round(eng);
+        EXPECT_EQ(alloc_stats::heap_allocations() - before, 0u)
+            << agg << " " << arch << " round " << r;
+      }
     }
   }
 }
