@@ -35,11 +35,13 @@ inline std::vector<CheckpointRow> run_loss_study(
 
   std::vector<CheckpointRow> rows;
   long done = 0;
-  const float ref = core::reference_loss_of(teacher, d_r, opts);
+  // One teacher pass serves every checkpoint's distillation.
+  const core::TeacherTargets targets =
+      core::teacher_targets(teacher, d_r, opts);
   for (long cp : checkpoints) {
     opts.max_epochs = cp - done;
     opts.seed = seed + static_cast<std::uint64_t>(cp);
-    core::goldfish_distill(student, teacher, d_r, d_f, ref, opts);
+    core::goldfish_distill(student, targets, d_r, d_f, opts);
     done = cp;
     CheckpointRow row;
     row.epoch = cp;

@@ -39,7 +39,7 @@ data::Dataset make_client_rows(long rows, std::uint64_t seed) {
   ds.features = Tensor::uninit({rows, kGeom.flat()});
   Rng rng(seed);
   float* f = ds.features.data();
-  for (long i = 0; i < ds.features.numel(); ++i)
+  for (std::size_t i = 0; i < ds.features.numel(); ++i)
     f[i] = float(rng.uniform()) - 0.5f;
   ds.labels.resize(static_cast<std::size_t>(rows));
   for (auto& y : ds.labels) y = static_cast<long>(rng.uniform_index(kClasses));

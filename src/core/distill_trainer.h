@@ -35,18 +35,48 @@ struct DistillResult {
   float temperature_used = 0.0f;
 };
 
-/// Run the Goldfish local update. `teacher` provides soft targets (its
-/// weights are never modified; non-const because forward passes mutate layer
-/// caches). `reference_loss` is L(ω^{t−1}) for Eq. 7 — pass the teacher's
-/// hard loss on d_r (helper below). `d_f` may be empty (normal clients,
-/// Algorithm 1 line 32).
+/// Everything Algorithm 1 reads from the frozen teacher on one client's
+/// remaining data, from one pass over it.
+struct TeacherTargets {
+  Tensor logits;  ///< (|D_r|, C): row i is the teacher's logits for row i
+  /// L(ω^{t−1}) of Eq. 7: the mean over 256-row batches of the batch-mean
+  /// hard loss, the reference point of early termination.
+  float reference_loss = 0.0f;
+};
+
+/// One eval-mode teacher pass over `d_r` in 256-row chunks. `teacher` is
+/// non-const only because forward writes its layer caches; its weights are
+/// never modified. A sample's GEMM outputs (its rows, or its conv
+/// columns) depend neither on the batch's size nor on the sample's place
+/// in it, and eval-mode batch norm uses running statistics, so a cached
+/// row is bitwise the logits a forward of any batch holding that sample
+/// would give (pinned by
+/// TeacherTargets.RowsDoNotDependOnBatchComposition).
+TeacherTargets teacher_targets(nn::Model& teacher, const data::Dataset& d_r,
+                               const DistillOptions& opts);
+
+/// Run the Goldfish local update against cached teacher targets of `d_r`
+/// (teacher_targets above): each batch gathers its teacher rows by index,
+/// so the teacher runs no forward here. `d_f` may be empty (normal
+/// clients, Algorithm 1 line 32).
+DistillResult goldfish_distill(nn::Model& student,
+                               const TeacherTargets& targets,
+                               const data::Dataset& d_r,
+                               const data::Dataset& d_f,
+                               const DistillOptions& opts);
+
+// The two forwarders below stay only because the benchmark's traced
+// unlearner hook (perfbench/src/unlearn.cpp) calls them; delete both when
+// that hook is rewritten (ROADMAP items 3, 5 and 8).
+
+/// Forwarder: teacher_targets(teacher, d_r, opts), with its reference loss
+/// replaced by `reference_loss`, then the overload above.
 DistillResult goldfish_distill(nn::Model& student, nn::Model& teacher,
                                const data::Dataset& d_r,
                                const data::Dataset& d_f, float reference_loss,
                                const DistillOptions& opts);
 
-/// L(ω^{t−1}): the previous global model's hard loss on the remaining data,
-/// the reference point of the early-termination criterion.
+/// Forwarder: teacher_targets(prev_global, d_r, opts).reference_loss.
 float reference_loss_of(nn::Model& prev_global, const data::Dataset& d_r,
                         const DistillOptions& opts);
 

@@ -21,11 +21,14 @@ GoldfishUnlearner::GoldfishUnlearner(nn::Model global, nn::Model fresh_init,
   // The client update is Goldfish distillation instead of LocalTraining:
   // the student is the engine's broadcast replica (the current, partially
   // rebuilt global model), the teacher is the frozen pre-unlearning model.
-  // Each client gets its own teacher replica: forward passes mutate layer
-  // caches, so sharing one teacher across threads would race.
+  // The teacher runs one pass over D_r per task (teacher_targets): it yields
+  // Eq. 7's reference loss and every logit row the distillation batches
+  // gather, so no batch of any epoch runs the teacher again. That pass uses
+  // a per-task teacher replica, freed before distillation starts: forward
+  // passes mutate layer caches, so sharing one teacher across threads would
+  // race.
   engine_->set_client_update([this](std::size_t c, nn::Model& student,
                                     const data::Dataset& d_r, long round) {
-    nn::Model teacher = teacher_;
     DistillOptions opts = cfg_.distill;
     // Collision-free (client, round) stream separation; the old xor mix let
     // distinct pairs reuse each other's RNG streams (see mix_seed).
@@ -33,9 +36,12 @@ GoldfishUnlearner::GoldfishUnlearner(nn::Model global, nn::Model fresh_init,
                          static_cast<std::uint64_t>(round));
     const data::Dataset& d_f =
         c < removed_.size() ? removed_[c] : no_removed_;
-    const float ref = reference_loss_of(teacher, d_r, opts);
+    const TeacherTargets targets = [&] {
+      nn::Model teacher = teacher_;
+      return teacher_targets(teacher, d_r, opts);
+    }();
     const DistillResult res =
-        goldfish_distill(student, teacher, d_r, d_f, ref, opts);
+        goldfish_distill(student, targets, d_r, d_f, opts);
     std::lock_guard<std::mutex> lock(stats_mu_);
     epochs_run_ += res.epochs_run;
     if (res.terminated_early) ++terminated_early_;

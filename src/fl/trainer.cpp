@@ -42,19 +42,4 @@ TrainStats train_local(nn::Model& model, const data::Dataset& ds,
   return stats;
 }
 
-float dataset_loss(nn::Model& model, const data::Dataset& ds,
-                   const losses::HardLoss& loss) {
-  GOLDFISH_CHECK(!ds.empty(), "loss over an empty dataset");
-  double total = 0.0;
-  long batches = 0;
-  std::vector<long> y;
-  // Mean of 256-row batch means: the reference the excess-risk test reads.
-  ds.for_each_chunk(256, [&](const Tensor& x, const long* yp, long rows) {
-    y.assign(yp, yp + rows);
-    total += loss.eval(model.forward(x, /*train=*/false), y).value;
-    ++batches;
-  });
-  return static_cast<float>(total / double(batches));
-}
-
 }  // namespace goldfish::fl

@@ -30,9 +30,4 @@ struct TrainStats {
 TrainStats train_local(nn::Model& model, const data::Dataset& ds,
                        const TrainOptions& opts);
 
-/// One evaluation-only pass: mean over 256-row batches of the batch-mean
-/// hard loss (the empirical-risk reference L(ω^{t−1}) in Eq. 7).
-float dataset_loss(nn::Model& model, const data::Dataset& ds,
-                   const losses::HardLoss& loss);
-
 }  // namespace goldfish::fl

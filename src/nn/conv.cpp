@@ -61,7 +61,7 @@ const Tensor& Conv2d::forward(const Tensor& x, bool /*train*/) {
   return pack_output(flat, cached_batch_);
 }
 
-const Tensor& Conv2d::backward(const Tensor& grad_output) {
+const Tensor& Conv2d::accumulate_grads(const Tensor& grad_output) {
   GOLDFISH_CHECK(!cached_cols_.empty(), "backward before forward");
   const Tensor& g = unpack_grad(grad_output);  // (outC, N·oh·ow)
   gemm_acc(grad_weight_, g, cached_cols_, false, true);
@@ -72,12 +72,22 @@ const Tensor& Conv2d::backward(const Tensor& grad_output) {
     for (long j = 0; j < cols; ++j) acc += row[j];
     grad_bias_[std::size_t(c)] += static_cast<float>(acc);
   }
+  return g;
+}
+
+const Tensor& Conv2d::backward(const Tensor& grad_output) {
+  const Tensor& g = accumulate_grads(grad_output);
+  const long cols = g.dim(1);
   Tensor& grad_cols = slot(3, {geom_.patch_size(), cols});
   gemm_into(grad_cols, weight_, g, true, false);  // (patch, N·oh·ow)
   Tensor& gin = slot(4, {cached_batch_, geom_.in_channels, geom_.in_h,
                          geom_.in_w});
   col2im_into(grad_cols, cached_batch_, geom_, gin);
   return gin;
+}
+
+void Conv2d::backward_params(const Tensor& grad_output) {
+  (void)accumulate_grads(grad_output);
 }
 
 std::vector<ParamRef> Conv2d::params() {

@@ -16,6 +16,7 @@ class Conv2d final : public Layer {
 
   const Tensor& forward(const Tensor& x, bool train) override;
   const Tensor& backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
@@ -40,6 +41,9 @@ class Conv2d final : public Layer {
   Tensor& pack_output(const Tensor& flat, long batch);
   /// Inverse of pack_output for the incoming gradient, into a slot.
   Tensor& unpack_grad(const Tensor& grad_img);
+  /// dW and db from `grad_output`; returns the unpacked (outC, N·oh·ow)
+  /// gradient the input-gradient GEMM consumes.
+  const Tensor& accumulate_grads(const Tensor& grad_output);
 };
 
 }  // namespace goldfish::nn

@@ -2,6 +2,8 @@
 //
 // Each layer caches what its backward pass needs during forward, produces an
 // input-gradient in backward, and accumulates parameter gradients internally.
+// backward_params is the same pass without the input gradient: a model's
+// first layer has nobody to hand one to.
 // This is deliberately simpler than a tape: every layer's gradient is
 // unit-testable in isolation against finite differences (see
 // tests/nn_gradcheck_test.cpp), which is how we guarantee the substrate the
@@ -56,6 +58,15 @@ class Layer {
   /// terms can be backpropagated before one optimizer step). The result
   /// references a workspace slot, clobbered by the layer's next backward.
   virtual const Tensor& backward(const Tensor& grad_output) = 0;
+
+  /// Parameter-gradient-only backward: adds exactly the parameter gradients
+  /// backward() would, but need not produce ∂L/∂input. What Model::backward
+  /// runs at the root. The default is the full backward; Linear and Conv2d
+  /// skip their input-gradient GEMM, and Sequential stops at its first
+  /// layer with parameters (the layers in front of it run no backward).
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
 
   /// Parameters and their gradient accumulators, if any.
   virtual std::vector<ParamRef> params() { return {}; }

@@ -32,7 +32,7 @@ const Tensor& Linear::forward(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-const Tensor& Linear::backward(const Tensor& grad_output) {
+const Tensor& Linear::accumulate_grads(const Tensor& grad_output) {
   GOLDFISH_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == out_,
                  "linear grad shape");
   GOLDFISH_CHECK(!cached_input_.empty(), "backward before forward");
@@ -49,15 +49,24 @@ const Tensor& Linear::backward(const Tensor& grad_output) {
       gd[i] = gd_in[i] * (yd[i] > 0.0f ? 1.0f : 0.0f);  // = ReLU::backward
     grad = &masked;
   }
-  // dW = gradᵀ · x (accumulated in place) ; db = column sums ; dx = grad · W
+  // dW = gradᵀ · x (accumulated in place) ; db = column sums
   gemm_acc(grad_weight_, *grad, cached_input_, true, false);
   const long n = grad->dim(0);
   for (long i = 0; i < n; ++i)
     for (long j = 0; j < out_; ++j)
       grad_bias_[std::size_t(j)] += grad->at(i, j);
-  Tensor& dx = slot(2, {n, in_});
-  gemm_into(dx, *grad, weight_, false, false);
+  return *grad;
+}
+
+const Tensor& Linear::backward(const Tensor& grad_output) {
+  const Tensor& grad = accumulate_grads(grad_output);
+  Tensor& dx = slot(2, {grad.dim(0), in_});  // dx = grad · W
+  gemm_into(dx, grad, weight_, false, false);
   return dx;
+}
+
+void Linear::backward_params(const Tensor& grad_output) {
+  (void)accumulate_grads(grad_output);
 }
 
 std::vector<ParamRef> Linear::params() {

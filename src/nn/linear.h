@@ -12,6 +12,7 @@ class Linear final : public Layer {
 
   const Tensor& forward(const Tensor& x, bool train) override;
   const Tensor& backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
@@ -36,6 +37,10 @@ class Linear final : public Layer {
   Tensor cached_input_;   // (N, in) from the last forward
   Tensor cached_output_;  // (N, out) post-ReLU, only kept when fused
   bool fuse_relu_ = false;
+
+  /// dW and db from `grad_output` (masked first when fused); returns the
+  /// gradient the input-gradient GEMM consumes.
+  const Tensor& accumulate_grads(const Tensor& grad_output);
 };
 
 }  // namespace goldfish::nn

@@ -41,11 +41,21 @@ class Model {
     return root_->forward(x, train);
   }
 
-  /// Backpropagate a logit gradient; accumulates parameter gradients. The
-  /// result references a workspace slot: valid until the next backward.
-  const Tensor& backward(const Tensor& grad_logits) {
-    return root_->backward(grad_logits);
+  /// Backpropagate a logit gradient: accumulates parameter gradients only.
+  /// No input gradient is produced — the first layer with parameters skips
+  /// its input-gradient GEMM and the parameter-free layers in front of it
+  /// run no backward (Layer::backward_params). The accumulated gradients
+  /// are bitwise those of the root's full backward().
+  void backward(const Tensor& grad_logits) {
+    root_->backward_params(grad_logits);
   }
+
+  /// The root layer, for callers that need the full backward (∂L/∂input)
+  /// or a layer-level view.
+  Layer& root() { return *root_; }
+
+  /// The activation arena every layer writes into (read-only inspection).
+  const Workspace& workspace() const { return *ws_; }
 
   /// All parameters (including batch-norm running stats, whose grad is null).
   std::vector<ParamRef> params() { return root_->params(); }

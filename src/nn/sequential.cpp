@@ -9,7 +9,8 @@
 
 namespace goldfish::nn {
 
-Sequential::Sequential(const Sequential& other) : Layer(other) {
+Sequential::Sequential(const Sequential& other)
+    : Layer(other), first_param_(other.first_param_) {
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
 }
@@ -19,11 +20,14 @@ Sequential& Sequential::operator=(const Sequential& other) {
   layers_.clear();
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
+  first_param_ = other.first_param_;
   return *this;
 }
 
 void Sequential::add(std::unique_ptr<Layer> layer) {
   GOLDFISH_CHECK(layer != nullptr, "null layer");
+  if (first_param_ == layers_.size() && layer->params().empty())
+    ++first_param_;
   layers_.push_back(std::move(layer));
 }
 
@@ -57,16 +61,31 @@ const Tensor& Sequential::forward(const Tensor& x, bool train) {
   return *h;
 }
 
-const Tensor& Sequential::backward(const Tensor& grad_output) {
+const Tensor* Sequential::backward_walk(const Tensor& grad_output,
+                                        bool params_only) {
   const Tensor* g = &grad_output;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     if (i > 0 && fused_pair_at(i - 1) &&
         static_cast<const Linear*>(layers_[i - 1].get())->fuse_relu()) {
       --i;  // skip the folded ReLU; the Linear applies its mask
     }
+    if (params_only && i == first_param_) {
+      layers_[i]->backward_params(*g);
+      return nullptr;
+    }
     g = &layers_[i]->backward(*g);
   }
-  return *g;
+  return g;
+}
+
+const Tensor& Sequential::backward(const Tensor& grad_output) {
+  return *backward_walk(grad_output, /*params_only=*/false);
+}
+
+void Sequential::backward_params(const Tensor& grad_output) {
+  // With no parameterized layer there is nothing to accumulate.
+  if (first_param_ < layers_.size())
+    (void)backward_walk(grad_output, /*params_only=*/true);
 }
 
 std::vector<ParamRef> Sequential::params() {

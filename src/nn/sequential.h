@@ -26,6 +26,10 @@ class Sequential final : public Layer {
 
   const Tensor& forward(const Tensor& x, bool train) override;
   const Tensor& backward(const Tensor& grad_output) override;
+  /// Backward down to the first layer with parameters, which accumulates
+  /// its gradients without an input gradient; the parameter-free layers in
+  /// front of it (Unflatten) run nothing.
+  void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
@@ -36,7 +40,14 @@ class Sequential final : public Layer {
   /// pair the forward/backward peephole fuses.
   bool fused_pair_at(std::size_t i) const;
 
+  /// Right→left walk with the fused ReLUs folded into their Linear. With
+  /// `params_only` the first parameterized layer runs backward_params and
+  /// the walk stops there (returns null); otherwise returns ∂L/∂input.
+  const Tensor* backward_walk(const Tensor& grad_output, bool params_only);
+
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::size_t first_param_ = 0;  // index of the first layer with parameters
+                                 // (layers_.size() while there is none)
 };
 
 /// Pre-activation-free classic residual block:

@@ -49,6 +49,13 @@ class Workspace {
 
   std::size_t size() const { return slots_.size(); }
 
+  /// Slot `key` as last acquired, without reshaping (empty if no pass has
+  /// acquired it yet).
+  const Tensor& peek(std::size_t key) const {
+    GOLDFISH_CHECK(key < slots_.size(), "unclaimed workspace slot");
+    return slots_[key];
+  }
+
   /// Drop slot storage (the table itself keeps its size; shapes revalidate
   /// and storage regrows on next acquire).
   void clear() {

@@ -157,9 +157,22 @@ float Tensor::max() const {
 }
 
 float Tensor::squared_norm() const {
-  double acc = 0.0;
-  for (float x : data_) acc += static_cast<double>(x) * x;
-  return static_cast<float>(acc);
+  // Eight independent double lanes (squares of floats are exact in double)
+  // so the loop vectorizes; they fold in one fixed order, so the sum is
+  // deterministic. It rounds differently from a serial double sum, but not
+  // enough to move the returned float (pinned by the tensor test
+  // SquaredNormMatchesSerialDoubleSum).
+  double lane[8] = {};
+  const float* d = data_.data();
+  const std::size_t n = data_.size();
+  const std::size_t body = n - n % 8;
+  for (std::size_t i = 0; i < body; i += 8)
+    for (std::size_t l = 0; l < 8; ++l)
+      lane[l] += static_cast<double>(d[i + l]) * d[i + l];
+  for (std::size_t i = body; i < n; ++i)
+    lane[i - body] += static_cast<double>(d[i]) * d[i];
+  return static_cast<float>(((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                            ((lane[4] + lane[5]) + (lane[6] + lane[7])));
 }
 
 Tensor operator+(Tensor lhs, const Tensor& rhs) {

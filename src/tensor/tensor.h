@@ -178,7 +178,8 @@ class Tensor {
   float mean() const;
   float min() const;
   float max() const;
-  /// Squared L2 norm of all elements.
+  /// Squared L2 norm of all elements, summed in double over eight lanes
+  /// folded in a fixed order (the SGD clip norm).
   float squared_norm() const;
 
  private:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/distill_trainer.h"
 #include "core/early_termination.h"
@@ -114,9 +115,9 @@ TEST(DistillTrainer, StudentApproachesTeacherAccuracy) {
   opts.lr = 0.01f;
   opts.use_early_termination = false;
   nn::Model teacher = f.teacher;
-  const float ref = core::reference_loss_of(teacher, f.tt.train, opts);
-  const auto res = core::goldfish_distill(student, teacher, f.tt.train,
-                                          data::Dataset(), ref, opts);
+  const auto targets = core::teacher_targets(teacher, f.tt.train, opts);
+  const auto res = core::goldfish_distill(student, targets, f.tt.train,
+                                          data::Dataset(), opts);
   EXPECT_EQ(res.epochs_run, 8);
   const double teacher_acc = metrics::accuracy(teacher, f.tt.test);
   const double student_acc = metrics::accuracy(student, f.tt.test);
@@ -133,9 +134,9 @@ TEST(DistillTrainer, EarlyTerminationStopsSooner) {
   opts.use_early_termination = true;
   opts.delta = 1.5f;  // generous threshold → stops early for sure
   nn::Model teacher = f.teacher;
-  const float ref = core::reference_loss_of(teacher, f.tt.train, opts);
-  const auto res = core::goldfish_distill(student, teacher, f.tt.train,
-                                          data::Dataset(), ref, opts);
+  const auto targets = core::teacher_targets(teacher, f.tt.train, opts);
+  const auto res = core::goldfish_distill(student, targets, f.tt.train,
+                                          data::Dataset(), opts);
   EXPECT_TRUE(res.terminated_early);
   EXPECT_LT(res.epochs_run, 30);
   EXPECT_LE(res.final_excess_risk, 1.5f);
@@ -150,15 +151,16 @@ TEST(DistillTrainer, AdaptiveTemperatureRecorded) {
   opts.use_adaptive_temperature = true;
   nn::Model teacher = f.teacher;
   data::Dataset d_f = f.tt.train.subset({0, 1, 2, 3, 4});
-  const auto res = core::goldfish_distill(student, teacher, f.tt.train, d_f,
-                                          2.0f, opts);
+  const auto targets = core::teacher_targets(teacher, f.tt.train, opts);
+  const auto res =
+      core::goldfish_distill(student, targets, f.tt.train, d_f, opts);
   EXPECT_NEAR(res.temperature_used,
               opts.temperature(f.tt.train.size(), 5), 1e-5f);
   // Fixed temperature when the extension is off.
   nn::Model student2 = nn::make_mlp({1, 28, 28}, 16, 10, rng);
   opts.use_adaptive_temperature = false;
-  const auto res2 = core::goldfish_distill(student2, teacher, f.tt.train,
-                                           d_f, 2.0f, opts);
+  const auto res2 =
+      core::goldfish_distill(student2, targets, f.tt.train, d_f, opts);
   EXPECT_FLOAT_EQ(res2.temperature_used, opts.loss.temperature);
 }
 
@@ -168,9 +170,116 @@ TEST(DistillTrainer, EmptyRemainingThrows) {
   nn::Model student = nn::make_mlp({1, 28, 28}, 8, 10, rng);
   nn::Model teacher = f.teacher;
   core::DistillOptions opts;
-  EXPECT_THROW(core::goldfish_distill(student, teacher, data::Dataset(),
-                                      data::Dataset(), 1.0f, opts),
+  EXPECT_THROW(core::teacher_targets(teacher, data::Dataset(), opts),
                CheckError);
+  const auto targets = core::teacher_targets(teacher, f.tt.train, opts);
+  EXPECT_THROW(core::goldfish_distill(student, targets, data::Dataset(),
+                                      data::Dataset(), opts),
+               CheckError);
+}
+
+TEST(DistillTrainer, ReferenceLossMatchesCrossEntropyScale) {
+  auto tt = data::make_synthetic(
+      data::default_spec(data::DatasetKind::Mnist, 33, 100, 50));
+  Rng rng(34);
+  nn::Model fresh = nn::make_mlp({1, 28, 28}, 16, 10, rng);
+  core::DistillOptions opts;
+  opts.loss.hard_loss_name = "cross_entropy";
+  const float loss = core::reference_loss_of(fresh, tt.train, opts);
+  // Untrained → near log(10) ≈ 2.30 (He-init logits on unit-variance
+  // inputs inflate it somewhat).
+  EXPECT_NEAR(loss, 2.6f, 1.0f);
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// The forwarders the traced benchmark hook calls (reference_loss_of plus the
+// teacher-taking goldfish_distill) must replay the cached-target path bit
+// for bit, with and without removed data.
+TEST(DistillTrainer, OldAndNewOverloadsAgreeBitwise) {
+  auto& f = distill_fixture();
+  const data::Dataset d_f = f.tt.train.subset({3, 9, 27, 81, 243});
+  const data::Dataset none;
+  for (const data::Dataset* forget : {&d_f, &none}) {
+    SCOPED_TRACE(forget->empty() ? "without D_f" : "with D_f");
+    Rng rng(57);
+    const nn::Model init = nn::make_mlp({1, 28, 28}, 16, 10, rng);
+    core::DistillOptions opts;
+    opts.max_epochs = 3;
+    opts.batch_size = 48;  // 400 rows → a partial last batch every epoch
+    opts.lr = 0.01f;
+    opts.delta = 0.5f;
+
+    nn::Model old_student = init;
+    nn::Model old_teacher = f.teacher;
+    const float ref = core::reference_loss_of(old_teacher, f.tt.train, opts);
+    const core::DistillResult a = core::goldfish_distill(
+        old_student, old_teacher, f.tt.train, *forget, ref, opts);
+
+    nn::Model new_student = init;
+    nn::Model new_teacher = f.teacher;
+    const core::TeacherTargets targets =
+        core::teacher_targets(new_teacher, f.tt.train, opts);
+    const core::DistillResult b = core::goldfish_distill(
+        new_student, targets, f.tt.train, *forget, opts);
+
+    EXPECT_EQ(a.epoch_losses, b.epoch_losses);
+    EXPECT_EQ(a.epochs_run, b.epochs_run);
+    EXPECT_EQ(a.terminated_early, b.terminated_early);
+    EXPECT_EQ(a.final_excess_risk, b.final_excess_risk);
+    EXPECT_EQ(a.temperature_used, b.temperature_used);
+    const auto sa = old_student.snapshot();
+    const auto sb = new_student.snapshot();
+    ASSERT_EQ(sa.size(), sb.size());
+    for (std::size_t i = 0; i < sa.size(); ++i)
+      EXPECT_TRUE(bitwise_equal(sa[i], sb[i])) << "parameter " << i;
+  }
+}
+
+// The invariant the teacher cache rests on: row i of the cached logits
+// (computed in 256-row chunks) is bitwise the logits a forward of any
+// batch holding row i gives, at any position in it, including the partial
+// last tile of the GEMM.
+TEST(TeacherTargets, RowsDoNotDependOnBatchComposition) {
+  const std::pair<const char*, nn::InputGeom> archs[] = {
+      {"mlp16", {1, 8, 8}}, {"lenet5", {1, 16, 16}}, {"resnet8", {3, 8, 8}}};
+  for (const auto& [arch, geom] : archs) {
+    SCOPED_TRACE(arch);
+    Rng rng(58);
+    constexpr long kRows = 600;  // chunks of 256, 256 and a partial 88
+    data::Dataset ds;
+    ds.features = Tensor::randn({kRows, geom.flat()}, rng);
+    ds.num_classes = 10;
+    ds.geom = geom;
+    for (long i = 0; i < kRows; ++i) ds.labels.push_back(i % 10);
+    nn::Model teacher = nn::make_model(arch, geom, 10, rng);
+
+    const core::TeacherTargets targets =
+        core::teacher_targets(teacher, ds, core::DistillOptions());
+    ASSERT_EQ(targets.logits.dim(0), kRows);
+    ASSERT_EQ(targets.logits.dim(1), 10);
+
+    // Shuffled 50-row batches (and one 37-row one, like an epoch's last
+    // batch) put each sampled row at many positions, the last tile's too.
+    std::vector<std::size_t> order(kRows);
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (long trial = 0; trial < 6; ++trial) {
+      rng.shuffle(order);
+      const std::size_t n = trial == 5 ? 37 : 50;
+      const std::vector<std::size_t> rows(order.begin(), order.begin() + n);
+      const Tensor& z = teacher.forward(ds.batch(rows).first, false);
+      for (std::size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(std::memcmp(z.data() + r * 10,
+                              targets.logits.data() + rows[r] * 10,
+                              10 * sizeof(float)),
+                  0)
+            << "row " << rows[r] << " at batch position " << r;
+      }
+    }
+  }
 }
 
 // -- sharding ---------------------------------------------------------------

@@ -2,6 +2,8 @@
 // SGD behaviour, and that training actually learns.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nn/models.h"
 #include "nn/sgd.h"
 #include "losses/hard_loss.h"
@@ -36,6 +38,55 @@ TEST(Model, CopyIsDeep) {
   nn::Model b = a;
   (*a.params()[0].value)[0] += 3.0f;
   EXPECT_NE((*a.params()[0].value)[0], (*b.params()[0].value)[0]);
+}
+
+// Model::backward accumulates parameter gradients only: they must be
+// bitwise those of the root's full backward, and the first parameterized
+// layer (plus the parameter-free Unflatten in front of it) must never write
+// an input gradient.
+TEST(ModelBackward, ParameterGradientsMatchFullBackward) {
+  struct Case {
+    const char* arch;
+    nn::InputGeom geom;
+    std::vector<std::size_t> input_grad_slots;
+  };
+  // Workspace keys in attach order: the Sequential root claims none,
+  // Unflatten claims (y, dx) = 0–1, Linear (y, masked g, dx) and Conv2d
+  // (flat, packed, unpacked g, grad_cols, input grad) follow.
+  const Case cases[] = {{"mlp16", {1, 4, 4}, {2}},
+                        {"lenet5", {1, 16, 16}, {1, 5, 6}},
+                        {"resnet8", {3, 8, 8}, {1, 5, 6}}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.arch);
+    Rng rng(71);
+    nn::Model params_only = nn::make_model(c.arch, c.geom, 10, rng);
+    nn::Model full = params_only;
+    losses::CrossEntropyLoss ce;
+    // Two accumulating passes, the second with a different batch height.
+    for (long rows : {13L, 7L}) {
+      const Tensor x = Tensor::randn({rows, c.geom.flat()}, rng);
+      std::vector<long> y;
+      for (long i = 0; i < rows; ++i) y.push_back(i % 10);
+      params_only.backward(
+          ce.eval(params_only.forward(x, true), y).grad_logits);
+      (void)full.root().backward(ce.eval(full.forward(x, true), y).grad_logits);
+    }
+    for (std::size_t key : c.input_grad_slots) {
+      EXPECT_TRUE(params_only.workspace().peek(key).empty()) << "slot " << key;
+      EXPECT_FALSE(full.workspace().peek(key).empty()) << "slot " << key;
+    }
+    const auto pa = params_only.params();
+    const auto pb = full.params();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+      if (pa[i].grad == nullptr) continue;
+      ASSERT_TRUE(pa[i].grad->same_shape(*pb[i].grad));
+      EXPECT_EQ(std::memcmp(pa[i].grad->data(), pb[i].grad->data(),
+                            pa[i].grad->numel() * sizeof(float)),
+                0)
+          << pa[i].name;
+    }
+  }
 }
 
 TEST(Model, ZeroGradClearsAccumulators) {

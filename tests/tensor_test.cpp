@@ -2,6 +2,9 @@
 // arithmetic, reductions, and contract violations.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "tensor/rng.h"
 #include "tensor/tensor.h"
 
 namespace goldfish {
@@ -103,6 +106,35 @@ TEST(Tensor, Reductions) {
   EXPECT_FLOAT_EQ(t.min(), -1.0f);
   EXPECT_FLOAT_EQ(t.max(), 3.0f);
   EXPECT_FLOAT_EQ(t.squared_norm(), 1 + 0 + 9 + 4);
+}
+
+// The clip norm sums in eight double lanes; its float result must equal a
+// plain serial double sum's, across tail lengths and large non-multiples of 8.
+TEST(Tensor, SquaredNormMatchesSerialDoubleSum) {
+  const auto serial = [](const Tensor& t) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < t.numel(); ++i)
+      acc += static_cast<double>(t[i]) * t[i];
+    return static_cast<float>(acc);
+  };
+  Rng rng(91);
+  const auto draw = [&rng](long n) {
+    Tensor t = Tensor::zeros({n});
+    // Spread magnitudes over 2^±8 so the lanes see very unequal terms.
+    for (long i = 0; i < n; ++i)
+      t[std::size_t(i)] = rng.normal() * std::exp2(rng.uniform(-8.0f, 8.0f));
+    return t;
+  };
+  for (long n = 0; n <= 40; ++n) {
+    for (int rep = 0; rep < 8; ++rep) {
+      const Tensor t = draw(n);
+      EXPECT_EQ(t.squared_norm(), serial(t)) << "n=" << n;
+    }
+  }
+  for (long n : {100003L, 131071L, 250001L}) {
+    const Tensor t = draw(n);
+    EXPECT_EQ(t.squared_norm(), serial(t)) << "n=" << n;
+  }
 }
 
 TEST(Tensor, EmptyReductionsThrow) {
