@@ -134,6 +134,25 @@ void BM_ConvBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvBackward);
 
+// lenet5's conv2 (6×14×14 → 16×10×10, k5) at batch 50: one forward plus the
+// full backward, so im2col, the three GEMMs, output packing, gradient
+// unpacking and col2im all run. Items are the GEMM FLOPs (forward, dW and
+// the column gradient: 3 · 2·outC·patch·N·oh·ow); the CI ratchet floors it.
+void BM_Conv2dLenetStep(benchmark::State& state) {
+  constexpr long kBatch = 50, kOut = 16;
+  Rng rng(12);
+  nn::Conv2d conv(6, kOut, 5, 1, 0, 14, 14, rng);
+  const Tensor x = Tensor::randn({kBatch, 6, 14, 14}, rng);
+  const Tensor g = Tensor::randn({kBatch, kOut, 10, 10}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(x, true).data());
+    benchmark::DoNotOptimize(conv.backward(g).data());
+  }
+  state.SetItemsProcessed(state.iterations() * 3 * 2 * kOut * (6 * 5 * 5) *
+                          kBatch * 10 * 10);
+}
+BENCHMARK(BM_Conv2dLenetStep);
+
 void BM_LinearForward(benchmark::State& state) {
   Rng rng(6);
   nn::Linear fc(784, 128, rng);

@@ -6,9 +6,10 @@
 namespace goldfish::nn {
 
 /// Rectified linear unit; caches the input sign mask for backward.
-/// When a ReLU directly follows a Linear inside a Sequential, the container
-/// peepholes the pair: the activation runs fused in the GEMM writeback and
-/// this layer is skipped in both passes (so its mask stays unset).
+/// When a ReLU directly follows a Linear or Conv2d inside a Sequential, the
+/// container peepholes the pair: the activation runs fused in the GEMM
+/// writeback and this layer is skipped in both passes (so its y and mask
+/// slots stay unset).
 class ReLU final : public Layer {
  public:
   const Tensor& forward(const Tensor& x, bool train) override;

@@ -1,5 +1,6 @@
 #include "nn/conv.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -21,30 +22,51 @@ Conv2d::Conv2d(long in_channels, long out_channels, long kernel, long stride,
   grad_bias_ = Tensor::zeros({out_channels});
 }
 
+Conv2d::Conv2d(const Conv2d& other)
+    : ReluFusableLayer(),
+      geom_(other.geom_),
+      out_channels_(other.out_channels_),
+      weight_(other.weight_),
+      bias_(other.bias_),
+      grad_weight_(Tensor::zeros(other.weight_.shape())),
+      grad_bias_(Tensor::zeros(other.bias_.shape())) {}
+
 Tensor& Conv2d::pack_output(const Tensor& flat, long batch) {
   const long oh = geom_.out_h(), ow = geom_.out_w();
+  const long block = oh * ow;
   Tensor& img = slot(1, {batch, out_channels_, oh, ow});
-  // flat is (outC, N·oh·ow) with columns ordered (n, y, x).
+  // flat is (outC, N·oh·ow) with columns ordered (n, y, x): the (c, n)
+  // block of oh·ow floats is contiguous on both sides.
   for (long c = 0; c < out_channels_; ++c) {
-    const float* row = flat.data() + c * batch * oh * ow;
+    const float* row = flat.data() + c * batch * block;
     for (long n = 0; n < batch; ++n)
-      for (long y = 0; y < oh; ++y)
-        for (long x = 0; x < ow; ++x)
-          img.at4(n, c, y, x) = row[(n * oh + y) * ow + x];
+      std::copy_n(row + n * block, block,
+                  img.data() + (n * out_channels_ + c) * block);
   }
   return img;
 }
 
 Tensor& Conv2d::unpack_grad(const Tensor& grad_img) {
-  const long batch = grad_img.dim(0);
+  const long batch = cached_batch_;
   const long oh = geom_.out_h(), ow = geom_.out_w();
-  Tensor& flat = slot(2, {out_channels_, batch * oh * ow});
+  const long block = oh * ow;
+  const Shape out_shape{batch, out_channels_, oh, ow};
+  GOLDFISH_CHECK(grad_img.shape() == out_shape, "conv grad shape");
+  // Same shape as forward's packed output: contents intact (the fused
+  // ReLU's post-activation values).
+  const Tensor* y = fuse_relu() ? &slot(1, out_shape) : nullptr;
+  Tensor& flat = slot(2, {out_channels_, batch * block});
   for (long c = 0; c < out_channels_; ++c) {
-    float* row = flat.data() + c * batch * oh * ow;
-    for (long n = 0; n < batch; ++n)
-      for (long y = 0; y < oh; ++y)
-        for (long x = 0; x < ow; ++x)
-          row[(n * oh + y) * ow + x] = grad_img.at4(n, c, y, x);
+    float* row = flat.data() + c * batch * block;
+    for (long n = 0; n < batch; ++n) {
+      const long at = (n * out_channels_ + c) * block;
+      if (y != nullptr) {
+        mask_relu_grad(grad_img.data() + at, y->data() + at, row + n * block,
+                       static_cast<std::size_t>(block));
+      } else {
+        std::copy_n(grad_img.data() + at, block, row + n * block);
+      }
+    }
   }
   return flat;
 }
@@ -53,11 +75,14 @@ const Tensor& Conv2d::forward(const Tensor& x, bool /*train*/) {
   GOLDFISH_CHECK(x.rank() == 4, "conv expects (N,C,H,W)");
   cached_batch_ = x.dim(0);
   im2col_into(x, geom_, cached_cols_);
-  // Per-channel bias = one value per row of the (outC, N·oh·ow) product,
-  // fused into the GEMM writeback instead of a second pass over the output.
+  // Per-channel bias = one value per row of the (outC, N·oh·ow) product
+  // (and the peepholed ReLU) fused into the GEMM writeback instead of extra
+  // passes over the output.
   Tensor& flat = slot(0, {out_channels_, cached_cols_.dim(1)});
   gemm_fused_into(flat, weight_, cached_cols_, false, false,
-                  runtime::Epilogue::kBiasRow, bias_);
+                  fuse_relu() ? runtime::Epilogue::kBiasRowRelu
+                              : runtime::Epilogue::kBiasRow,
+                  bias_);
   return pack_output(flat, cached_batch_);
 }
 
@@ -96,11 +121,7 @@ std::vector<ParamRef> Conv2d::params() {
 }
 
 std::unique_ptr<Layer> Conv2d::clone() const {
-  auto copy = std::make_unique<Conv2d>(*this);
-  copy->grad_weight_.zero();
-  copy->grad_bias_.zero();
-  copy->cached_cols_ = Tensor();
-  return copy;
+  return std::make_unique<Conv2d>(*this);
 }
 
 std::string Conv2d::name() const {

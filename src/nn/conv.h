@@ -8,11 +8,18 @@ namespace goldfish::nn {
 
 /// Convolution with square kernels, He init. Weight layout is
 /// (out_channels, in_channels·K·K) so forward is a single matmul against the
-/// im2col matrix.
-class Conv2d final : public Layer {
+/// im2col matrix. A fused ReLU (Sequential's Conv2d→ReLU peephole) rides
+/// the GEMM writeback, and backward applies its mask while unpacking the
+/// incoming gradient, reading the packed output slot — no extra slot.
+class Conv2d final : public ReluFusableLayer {
  public:
   Conv2d(long in_channels, long out_channels, long kernel, long stride,
          long pad, long in_h, long in_w, Rng& rng);
+  /// Copies the parameters only: gradients start at zero, unfused, and the
+  /// im2col columns of the last forward are not copied (what clone()
+  /// returns).
+  Conv2d(const Conv2d& other);
+  Conv2d& operator=(const Conv2d&) = delete;
 
   const Tensor& forward(const Tensor& x, bool train) override;
   const Tensor& backward(const Tensor& grad_output) override;
@@ -37,9 +44,10 @@ class Conv2d final : public Layer {
   long cached_batch_ = 0;
 
   /// (outC, N·oh·ow) matmul output → (N, outC, oh, ow) image layout, into
-  /// the layer's output slot.
+  /// the layer's output slot: one oh·ow block copy per (channel, sample).
   Tensor& pack_output(const Tensor& flat, long batch);
-  /// Inverse of pack_output for the incoming gradient, into a slot.
+  /// Inverse of pack_output for the incoming gradient, into a slot; when
+  /// fused, each block is masked by the packed output (ReLU backward).
   Tensor& unpack_grad(const Tensor& grad_img);
   /// dW and db from `grad_output`; returns the unpacked (outC, N·oh·ow)
   /// gradient the input-gradient GEMM consumes.

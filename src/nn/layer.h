@@ -128,4 +128,30 @@ class Layer {
   std::unique_ptr<Workspace> own_ws_;  // fallback for unbound layers
 };
 
+/// A layer whose GEMM writeback can absorb the ReLU that follows it
+/// (Linear, Conv2d). Sequential sets the flag when it peepholes such a
+/// pair: a fused forward returns the post-activation tensor and backward
+/// applies the ReLU mask itself, so the standalone ReLU layer must be
+/// skipped in both directions. Results are bit-identical to the unfused
+/// pair. The flag is container-managed state (Sequential re-sets it on
+/// every forward), so the layers' copy constructors start unfused.
+class ReluFusableLayer : public Layer {
+ public:
+  void set_fuse_relu(bool fuse) { fuse_relu_ = fuse; }
+  bool fuse_relu() const { return fuse_relu_; }
+
+ protected:
+  /// The folded ReLU's backward over `n` elements: out = g · [y > 0], where
+  /// `y` is the post-activation output (y > 0 ⟺ pre-activation > 0). The
+  /// product, not a select, so it is bitwise ReLU::backward's g · mask.
+  static void mask_relu_grad(const float* g, const float* y, float* out,
+                             std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = g[i] * (y[i] > 0.0f ? 1.0f : 0.0f);
+  }
+
+ private:
+  bool fuse_relu_ = false;
+};
+
 }  // namespace goldfish::nn

@@ -18,6 +18,15 @@ Linear::Linear(long in_features, long out_features, Rng& rng)
   GOLDFISH_CHECK(in_features > 0 && out_features > 0, "bad linear dims");
 }
 
+Linear::Linear(const Linear& other)
+    : ReluFusableLayer(),
+      in_(other.in_),
+      out_(other.out_),
+      weight_(other.weight_),
+      bias_(other.bias_),
+      grad_weight_(Tensor::zeros(other.weight_.shape())),
+      grad_bias_(Tensor::zeros(other.bias_.shape())) {}
+
 const Tensor& Linear::forward(const Tensor& x, bool /*train*/) {
   GOLDFISH_CHECK(x.rank() == 2 && x.dim(1) == in_,
                  "linear input shape " + x.shape_str());
@@ -25,10 +34,10 @@ const Tensor& Linear::forward(const Tensor& x, bool /*train*/) {
   // Bias (and the peepholed ReLU) ride the GEMM writeback — no extra pass.
   Tensor& y = slot(0, {x.dim(0), out_});
   gemm_fused_into(y, x, weight_, false, true,
-                  fuse_relu_ ? runtime::Epilogue::kBiasColRelu
-                             : runtime::Epilogue::kBiasCol,
+                  fuse_relu() ? runtime::Epilogue::kBiasColRelu
+                              : runtime::Epilogue::kBiasCol,
                   bias_);  // (N, out)
-  if (fuse_relu_) cached_output_ = y;
+  if (fuse_relu()) cached_output_ = y;
   return y;
 }
 
@@ -37,16 +46,13 @@ const Tensor& Linear::accumulate_grads(const Tensor& grad_output) {
                  "linear grad shape");
   GOLDFISH_CHECK(!cached_input_.empty(), "backward before forward");
   const Tensor* grad = &grad_output;
-  if (fuse_relu_) {
+  if (fuse_relu()) {
     // The folded ReLU's mask: post-activation > 0 ⟺ pre-activation > 0.
     GOLDFISH_CHECK(grad_output.same_shape(cached_output_),
                    "fused relu grad shape");
     Tensor& masked = slot(1, grad_output.shape());
-    const float* gd_in = grad_output.data();
-    const float* yd = cached_output_.data();
-    float* gd = masked.data();
-    for (std::size_t i = 0; i < masked.numel(); ++i)
-      gd[i] = gd_in[i] * (yd[i] > 0.0f ? 1.0f : 0.0f);  // = ReLU::backward
+    mask_relu_grad(grad_output.data(), cached_output_.data(), masked.data(),
+                   masked.numel());
     grad = &masked;
   }
   // dW = gradᵀ · x (accumulated in place) ; db = column sums
@@ -75,15 +81,7 @@ std::vector<ParamRef> Linear::params() {
 }
 
 std::unique_ptr<Layer> Linear::clone() const {
-  auto copy = std::make_unique<Linear>(*this);
-  copy->grad_weight_.zero();
-  copy->grad_bias_.zero();
-  copy->cached_input_ = Tensor();
-  copy->cached_output_ = Tensor();
-  // The fuse flag is container-managed state (Sequential re-sets it on
-  // every forward); a standalone clone must behave as a plain linear.
-  copy->fuse_relu_ = false;
-  return copy;
+  return std::make_unique<Linear>(*this);
 }
 
 std::string Linear::name() const {

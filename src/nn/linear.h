@@ -5,10 +5,14 @@
 
 namespace goldfish::nn {
 
-class Linear final : public Layer {
+class Linear final : public ReluFusableLayer {
  public:
   /// He-initialized weights (suits the ReLU networks all paper models use).
   Linear(long in_features, long out_features, Rng& rng);
+  /// Copies the parameters only: gradients start at zero, unfused, and no
+  /// forward cache is copied (what clone() returns).
+  Linear(const Linear& other);
+  Linear& operator=(const Linear&) = delete;
 
   const Tensor& forward(const Tensor& x, bool train) override;
   const Tensor& backward(const Tensor& grad_output) override;
@@ -21,14 +25,6 @@ class Linear final : public Layer {
   long in_features() const { return in_; }
   long out_features() const { return out_; }
 
-  /// Fold the ReLU that follows this layer into the GEMM writeback
-  /// (Sequential sets this when it peepholes a Linear→ReLU pair). A fused
-  /// forward returns the post-activation tensor and backward applies the
-  /// ReLU mask itself, so the standalone ReLU layer must be skipped in both
-  /// directions. Results are bit-identical to the unfused pair.
-  void set_fuse_relu(bool fuse) { fuse_relu_ = fuse; }
-  bool fuse_relu() const { return fuse_relu_; }
-
  private:
   long in_ = 0, out_ = 0;
   Tensor weight_;  // (out, in)
@@ -36,7 +32,6 @@ class Linear final : public Layer {
   Tensor grad_weight_, grad_bias_;
   Tensor cached_input_;   // (N, in) from the last forward
   Tensor cached_output_;  // (N, out) post-ReLU, only kept when fused
-  bool fuse_relu_ = false;
 
   /// dW and db from `grad_output` (masked first when fused); returns the
   /// gradient the input-gradient GEMM consumes.

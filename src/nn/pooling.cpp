@@ -9,6 +9,9 @@ MaxPool2d::MaxPool2d(long kernel, long stride)
   GOLDFISH_CHECK(kernel > 0 && stride > 0, "bad pool dims");
 }
 
+MaxPool2d::MaxPool2d(const MaxPool2d& other)
+    : Layer(other), kernel_(other.kernel_), stride_(other.stride_) {}
+
 const Tensor& MaxPool2d::forward(const Tensor& x, bool /*train*/) {
   GOLDFISH_CHECK(x.rank() == 4, "pool expects (N,C,H,W)");
   in_shape_ = x.shape();
@@ -17,14 +20,17 @@ const Tensor& MaxPool2d::forward(const Tensor& x, bool /*train*/) {
   const long ow = (W - kernel_) / stride_ + 1;
   GOLDFISH_CHECK(oh > 0 && ow > 0, "pool output collapses to zero");
   Tensor& out = slot(0, {N, C, oh, ow});
-  argmax_.assign(out.numel(), 0);
+  argmax_.resize(out.numel());  // every entry written below
   std::size_t oi = 0;
   for (long n = 0; n < N; ++n) {
     for (long c = 0; c < C; ++c) {
       for (long y = 0; y < oh; ++y) {
         for (long xo = 0; xo < ow; ++xo, ++oi) {
-          float best = -1e30f;
-          std::size_t best_idx = 0;
+          // Seeded from the window's own first element, so a window of
+          // values ≤ any sentinel (−inf) still owns its output and argmax.
+          std::size_t best_idx = static_cast<std::size_t>(
+              ((n * C + c) * H + y * stride_) * W + xo * stride_);
+          float best = x[best_idx];
           for (long ky = 0; ky < kernel_; ++ky) {
             for (long kx = 0; kx < kernel_; ++kx) {
               const long iy = y * stride_ + ky;
@@ -57,9 +63,7 @@ const Tensor& MaxPool2d::backward(const Tensor& grad_output) {
 }
 
 std::unique_ptr<Layer> MaxPool2d::clone() const {
-  auto copy = std::make_unique<MaxPool2d>(*this);
-  copy->argmax_.clear();
-  return copy;
+  return std::make_unique<MaxPool2d>(*this);
 }
 
 std::string MaxPool2d::name() const {

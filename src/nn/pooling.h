@@ -9,6 +9,10 @@ namespace goldfish::nn {
 class MaxPool2d final : public Layer {
  public:
   MaxPool2d(long kernel, long stride);
+  /// Copies the window geometry only, not the argmax cache (what clone()
+  /// returns).
+  MaxPool2d(const MaxPool2d& other);
+  MaxPool2d& operator=(const MaxPool2d&) = delete;
 
   const Tensor& forward(const Tensor& x, bool train) override;
   const Tensor& backward(const Tensor& grad_output) override;

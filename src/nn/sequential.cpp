@@ -5,7 +5,6 @@
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
-#include "nn/linear.h"
 
 namespace goldfish::nn {
 
@@ -36,23 +35,23 @@ void Sequential::attach_workspace(Workspace* ws, std::size_t& next_key) {
   for (auto& l : layers_) l->attach_workspace(ws, next_key);
 }
 
-// Peephole: a Linear directly followed by a ReLU runs as one fused GEMM
-// (bias + ReLU in the writeback); the standalone ReLU layer is skipped in
-// both passes and the Linear applies the mask in its own backward. Results
-// are bit-identical to running the pair unfused.
+// Peephole: a Linear or Conv2d directly followed by a ReLU runs as one
+// fused GEMM (bias + ReLU in the writeback); the standalone ReLU layer is
+// skipped in both passes and the GEMM layer applies the mask in its own
+// backward. Results are bit-identical to running the pair unfused.
 bool Sequential::fused_pair_at(std::size_t i) const {
   return i + 1 < layers_.size() &&
-         dynamic_cast<const Linear*>(layers_[i].get()) != nullptr &&
+         dynamic_cast<const ReluFusableLayer*>(layers_[i].get()) != nullptr &&
          dynamic_cast<const ReLU*>(layers_[i + 1].get()) != nullptr;
 }
 
 const Tensor& Sequential::forward(const Tensor& x, bool train) {
   const Tensor* h = &x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    if (auto* lin = dynamic_cast<Linear*>(layers_[i].get())) {
+    if (auto* gemm = dynamic_cast<ReluFusableLayer*>(layers_[i].get())) {
       const bool fuse = fused_pair_at(i);
-      lin->set_fuse_relu(fuse);
-      h = &lin->forward(*h, train);
+      gemm->set_fuse_relu(fuse);
+      h = &gemm->forward(*h, train);
       if (fuse) ++i;  // the ReLU ran inside the GEMM writeback
     } else {
       h = &layers_[i]->forward(*h, train);
@@ -66,8 +65,9 @@ const Tensor* Sequential::backward_walk(const Tensor& grad_output,
   const Tensor* g = &grad_output;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     if (i > 0 && fused_pair_at(i - 1) &&
-        static_cast<const Linear*>(layers_[i - 1].get())->fuse_relu()) {
-      --i;  // skip the folded ReLU; the Linear applies its mask
+        static_cast<const ReluFusableLayer*>(layers_[i - 1].get())
+            ->fuse_relu()) {
+      --i;  // skip the folded ReLU; the GEMM layer applies its mask
     }
     if (params_only && i == first_param_) {
       layers_[i]->backward_params(*g);

@@ -9,9 +9,9 @@
 namespace goldfish::nn {
 
 /// Ordered chain of layers; forward runs left→right, backward right→left.
-/// Linear→ReLU pairs are peepholed into one fused GEMM (bias + ReLU applied
-/// in the writeback) with the standalone ReLU skipped in both passes;
-/// results are bit-identical to the unfused chain.
+/// Linear→ReLU and Conv2d→ReLU pairs are peepholed into one fused GEMM
+/// (bias + ReLU applied in the writeback) with the standalone ReLU skipped
+/// in both passes; results are bit-identical to the unfused chain.
 class Sequential final : public Layer {
  public:
   Sequential() = default;
@@ -36,8 +36,8 @@ class Sequential final : public Layer {
   void attach_workspace(Workspace* ws, std::size_t& next_key) override;
 
  private:
-  /// True when layers_[i] is a Linear immediately followed by a ReLU — the
-  /// pair the forward/backward peephole fuses.
+  /// True when layers_[i] is a Linear or Conv2d immediately followed by a
+  /// ReLU — the pair the forward/backward peephole fuses.
   bool fused_pair_at(std::size_t i) const;
 
   /// Right→left walk with the fused ReLUs folded into their Linear. With

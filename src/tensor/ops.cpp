@@ -20,6 +20,23 @@ std::pair<long, long> op_dims(const Tensor& t, bool trans) {
                : std::make_pair(t.dim(0), t.dim(1));
 }
 
+/// The output positions [lo, hi) of one kernel tap `k` along an axis whose
+/// input coordinate o·stride + k − pad lands inside [0, extent). Computed
+/// once per tap, so the im2col/col2im row loops test no bounds per element
+/// and never form a pointer outside the image plane.
+struct TapRange {
+  long lo, hi;
+  bool empty() const { return lo == hi; }
+};
+
+TapRange tap_range(long k, long stride, long pad, long extent, long out) {
+  const long first = pad - k;           // o·stride ≥ pad − k
+  const long past = extent + pad - k;   // o·stride < extent + pad − k
+  const long lo = std::min(out, first > 0 ? (first + stride - 1) / stride : 0);
+  const long hi = past > 0 ? std::min(out, (past + stride - 1) / stride) : 0;
+  return {lo, std::max(lo, hi)};
+}
+
 }  // namespace
 
 void gemm_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
@@ -213,24 +230,36 @@ void im2col_into(const Tensor& input, const Conv2dGeom& g, Tensor& cols) {
   const long oh = g.out_h(), ow = g.out_w();
   const long patch = g.patch_size();
   cols.resize_uninit({patch, N * oh * ow});  // every element written below
+  const float* src = input.data();
   float* dst = cols.data();
   const long col_stride = N * oh * ow;
-  // Samples write disjoint column ranges → parallel over the batch.
+  const long plane = g.in_h * g.in_w;
+  // Samples write disjoint column ranges → parallel over the batch. A tap
+  // that reads any padding zeroes its oh·ow block first; the valid part of
+  // each output row is then one run: a copy (a strided gather when
+  // stride > 1) from one input row.
   parallel_for(N, [&](long n_lo, long n_hi) {
   for (long n = n_lo; n < n_hi; ++n) {
     for (long c = 0; c < g.in_channels; ++c) {
+      const float* img = src + (n * g.in_channels + c) * plane;
       for (long kh = 0; kh < g.kernel; ++kh) {
+        const TapRange ys = tap_range(kh, g.stride, g.pad, g.in_h, oh);
         for (long kw = 0; kw < g.kernel; ++kw) {
+          const TapRange xs = tap_range(kw, g.stride, g.pad, g.in_w, ow);
           const long row = ((c * g.kernel) + kh) * g.kernel + kw;
-          for (long y = 0; y < oh; ++y) {
-            const long iy = y * g.stride + kh - g.pad;
-            for (long x = 0; x < ow; ++x) {
-              const long ix = x * g.stride + kw - g.pad;
-              const long col = (n * oh + y) * ow + x;
-              float v = 0.0f;
-              if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
-                v = input.at4(n, c, iy, ix);
-              dst[row * col_stride + col] = v;
+          float* block = dst + row * col_stride + n * oh * ow;
+          if (xs.lo > 0 || xs.hi < ow || ys.lo > 0 || ys.hi < oh)
+            std::fill_n(block, oh * ow, 0.0f);
+          if (xs.empty()) continue;
+          const long ix0 = xs.lo * g.stride + kw - g.pad;
+          const long run = xs.hi - xs.lo;
+          for (long y = ys.lo; y < ys.hi; ++y) {
+            float* r = block + y * ow + xs.lo;
+            const float* in = img + (y * g.stride + kh - g.pad) * g.in_w + ix0;
+            if (g.stride == 1) {
+              for (long x = 0; x < run; ++x) r[x] = in[x];
+            } else {
+              for (long x = 0; x < run; ++x) r[x] = in[x * g.stride];
             }
           }
         }
@@ -256,22 +285,32 @@ void col2im_into(const Tensor& cols, long batch, const Conv2dGeom& g,
   img.resize_uninit({batch, g.in_channels, g.in_h, g.in_w});
   img.zero();  // padding positions receive no scatter writes
   const float* src = cols.data();
+  float* dst = img.data();
   const long col_stride = batch * oh * ow;
+  const long plane = g.in_h * g.in_w;
   // Samples scatter into disjoint image slices → parallel over the batch.
+  // The (c, kh, kw, y, x) loop order is fixed, so every input pixel sums its
+  // contributions in the same (kh, kw) order whatever the run lengths.
   parallel_for(batch, [&](long n_lo, long n_hi) {
   for (long n = n_lo; n < n_hi; ++n) {
     for (long c = 0; c < g.in_channels; ++c) {
+      float* im = dst + (n * g.in_channels + c) * plane;
       for (long kh = 0; kh < g.kernel; ++kh) {
+        const TapRange ys = tap_range(kh, g.stride, g.pad, g.in_h, oh);
         for (long kw = 0; kw < g.kernel; ++kw) {
+          const TapRange xs = tap_range(kw, g.stride, g.pad, g.in_w, ow);
+          if (xs.empty()) continue;
           const long row = ((c * g.kernel) + kh) * g.kernel + kw;
-          for (long y = 0; y < oh; ++y) {
-            const long iy = y * g.stride + kh - g.pad;
-            if (iy < 0 || iy >= g.in_h) continue;
-            for (long x = 0; x < ow; ++x) {
-              const long ix = x * g.stride + kw - g.pad;
-              if (ix < 0 || ix >= g.in_w) continue;
-              const long col = (n * oh + y) * ow + x;
-              img.at4(n, c, iy, ix) += src[row * col_stride + col];
+          const float* in = src + row * col_stride + n * oh * ow + xs.lo;
+          const long ix0 = xs.lo * g.stride + kw - g.pad;
+          const long run = xs.hi - xs.lo;
+          for (long y = ys.lo; y < ys.hi; ++y) {
+            const float* r = in + y * ow;
+            float* o = im + (y * g.stride + kh - g.pad) * g.in_w + ix0;
+            if (g.stride == 1) {
+              for (long x = 0; x < run; ++x) o[x] += r[x];
+            } else {
+              for (long x = 0; x < run; ++x) o[x * g.stride] += r[x];
             }
           }
         }

@@ -110,6 +110,7 @@ Tensor im2col(const Tensor& input, const Conv2dGeom& g);
 
 /// im2col writing into caller-owned storage (resized in place, every
 /// element written including the zero padding — no upfront fill needed).
+/// A pure copy: each element is one input float or a padding zero.
 void im2col_into(const Tensor& input, const Conv2dGeom& g, Tensor& cols);
 
 /// Adjoint of im2col: scatter a (C·K·K, N·outH·outW) matrix of patch
@@ -118,6 +119,7 @@ Tensor col2im(const Tensor& cols, long batch, const Conv2dGeom& g);
 
 /// col2im writing into caller-owned storage (resized in place and zeroed
 /// before the scatter-add, since padding positions receive no writes).
+/// Each pixel sums its contributions in a fixed (kh, kw) order.
 void col2im_into(const Tensor& cols, long batch, const Conv2dGeom& g,
                  Tensor& img);
 

@@ -2,6 +2,8 @@
 // cloning, train/eval modes).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
@@ -91,6 +93,32 @@ TEST(MaxPool, PicksWindowMax) {
   Tensor gin = pool.backward(g);
   EXPECT_FLOAT_EQ(gin.at4(0, 0, 0, 1), 1.0f);
   EXPECT_FLOAT_EQ(gin.at4(0, 0, 0, 0), 0.0f);
+}
+
+// A window whose values all sit at or below any sentinel (−inf) still
+// outputs its own maximum and routes its gradient into its own window, not
+// to element 0 of the batch.
+TEST(MaxPool, AllNegativeInfinityWindowKeepsItsOwnArgmax) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  nn::MaxPool2d pool(2, 2);
+  Tensor x({1, 1, 2, 4});
+  for (long xo = 0; xo < 4; ++xo) {
+    x.at4(0, 0, 0, xo) = xo < 2 ? 1.0f + float(xo) : -kInf;
+    x.at4(0, 0, 1, xo) = xo < 2 ? 0.5f : -kInf;
+  }
+  Tensor y = pool.forward(x, true);
+  ASSERT_EQ(y.numel(), 2u);
+  EXPECT_EQ(y[0], 2.0f);
+  EXPECT_EQ(y[1], -kInf);
+  Tensor g = Tensor::from({10.0f, 1.0f}).reshaped({1, 1, 1, 2});
+  Tensor gin = pool.backward(g);
+  EXPECT_EQ(gin.at4(0, 0, 0, 0), 0.0f);
+  EXPECT_EQ(gin.at4(0, 0, 0, 1), 10.0f);
+  EXPECT_EQ(gin.at4(0, 0, 0, 2), 1.0f);  // first element of window 2
+  float window2 = 0.0f;
+  for (long yy = 0; yy < 2; ++yy)
+    for (long xo = 2; xo < 4; ++xo) window2 += gin.at4(0, 0, yy, xo);
+  EXPECT_EQ(window2, 1.0f);
 }
 
 TEST(GlobalAvgPool, Averages) {

@@ -7,6 +7,7 @@
 #include "nn/models.h"
 #include "nn/sgd.h"
 #include "losses/hard_loss.h"
+#include "tensor/buffer_pool.h"
 
 namespace goldfish {
 namespace {
@@ -87,6 +88,34 @@ TEST(ModelBackward, ParameterGradientsMatchFullBackward) {
           << pa[i].name;
     }
   }
+}
+
+// A copy of a model that has run a forward copies parameters only: one
+// FloatBuffer per parameter value and one per zeroed gradient, none for the
+// im2col columns, cached inputs or outputs of the last pass. It computes
+// bitwise the same logits.
+TEST(Model, CloneOfForwardedLenetCopiesParametersOnly) {
+  Rng rng(23);
+  nn::Model m = nn::make_model("lenet5", {1, 28, 28}, 10, rng);
+  const Tensor x = Tensor::randn({16, 784}, rng);
+  const Tensor logits = m.forward(x, true);
+
+  std::size_t tensors = 0;
+  for (const nn::ParamRef& p : m.params()) tensors += p.grad ? 2 : 1;
+  const std::size_t before = alloc_stats::heap_allocations();
+  nn::Model copy = m;
+  if (alloc_stats::enabled()) {
+    EXPECT_EQ(alloc_stats::heap_allocations() - before, tensors);
+  }
+
+  // No cached columns or inputs: a backward before the copy's own forward
+  // has nothing to read.
+  EXPECT_THROW(copy.backward(Tensor::zeros(logits.shape())), CheckError);
+  const Tensor& again = copy.forward(x, true);
+  ASSERT_TRUE(again.same_shape(logits));
+  EXPECT_EQ(std::memcmp(again.data(), logits.data(),
+                        logits.numel() * sizeof(float)),
+            0);
 }
 
 TEST(Model, ZeroGradClearsAccumulators) {
