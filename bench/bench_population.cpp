@@ -85,8 +85,6 @@ void BM_FlScenarioPopulation(benchmark::State& state) {
   // every slot is released when a run commits).
   state.counters["resident_bytes"] = double(store.peak_resident_bytes());
   state.counters["materializations"] = double(store.materializations());
-  state.counters["unique_snapshots"] =
-      double(eng.population()->snapshots.unique_snapshots());
   state.counters["peak_rss_bytes"] = double(bench::process_peak_rss_bytes());
 }
 BENCHMARK(BM_FlScenarioPopulation)->Unit(benchmark::kMillisecond);

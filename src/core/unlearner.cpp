@@ -45,7 +45,7 @@ GoldfishUnlearner::GoldfishUnlearner(nn::Model global, nn::Model fresh_init,
     std::lock_guard<std::mutex> lock(stats_mu_);
     epochs_run_ += res.epochs_run;
     if (res.terminated_early) ++terminated_early_;
-    if (c >= temps_.size()) temps_.resize(c + 1, 0.0);
+    if (c >= temps_.size()) temps_.resize(c + 1);
     temps_[c] = res.temperature_used;
   });
 }
@@ -118,7 +118,7 @@ UnlearnRoundResult GoldfishUnlearner::run_round() {
     std::lock_guard<std::mutex> lock(stats_mu_);
     epochs_run_ = 0;
     terminated_early_ = 0;
-    temps_.assign(engine_->num_clients(), 0.0);
+    temps_.assign(engine_->num_clients(), std::nullopt);
   }
 
   UnlearnRoundResult r;
@@ -133,8 +133,13 @@ UnlearnRoundResult GoldfishUnlearner::run_round() {
   r.total_epochs_run = epochs_run_;
   r.clients_terminated_early = terminated_early_;
   double tsum = 0.0;
-  for (double t : temps_) tsum += t;
-  r.mean_temperature = tsum / double(temps_.size());
+  long ran = 0;
+  for (const std::optional<double>& t : temps_)
+    if (t) {
+      tsum += *t;
+      ++ran;
+    }
+  r.mean_temperature = ran > 0 ? tsum / double(ran) : 0.0;
   return r;
 }
 

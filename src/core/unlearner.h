@@ -16,6 +16,7 @@
 #pragma once
 
 #include <mutex>
+#include <optional>
 
 #include "core/distill_trainer.h"
 #include "fl/engine.h"
@@ -70,7 +71,8 @@ struct UnlearnRoundResult {
   double global_accuracy = 0.0;
   long total_epochs_run = 0;       ///< Σ over clients (early term. shrinks it)
   long clients_terminated_early = 0;
-  double mean_temperature = 0.0;   ///< mean adaptive temperature across clients
+  double mean_temperature = 0.0;   ///< mean adaptive temperature over the
+                                   ///< clients that ran a task
 };
 
 class GoldfishUnlearner {
@@ -117,12 +119,13 @@ class GoldfishUnlearner {
 
   // Distillation telemetry, accumulated by the client-update function
   // across one engine run and drained by run_round. Temperatures are kept
-  // per client and summed in client order so the mean is bit-identical at
-  // any thread count.
+  // per client (empty for a client that ran no task, e.g. one that left)
+  // and summed in client order so the mean is bit-identical at any thread
+  // count.
   std::mutex stats_mu_;
   long epochs_run_ = 0;
   long terminated_early_ = 0;
-  std::vector<double> temps_;
+  std::vector<std::optional<double>> temps_;
 };
 
 }  // namespace goldfish::core

@@ -176,12 +176,6 @@ struct Engine::Schedule {
   long rounds_consumed = 0;
   std::size_t total_clients = 0;        ///< pre-run clients + joins
   std::vector<std::size_t> join_order;  ///< scenario.joins indices, id order
-  /// (client, newest version any of its tasks downloads), one entry per
-  /// client with a task, in client order. The commit points the client's
-  /// reference snapshot there (the base DeltaWire's needs_reference() path
-  /// would diff against), so these are the only versions the snapshot store
-  /// ever interns. O(tasks), never O(registered clients).
-  std::vector<std::pair<std::size_t, long>> newest_download;
 };
 
 Engine::Engine(nn::Model global, std::vector<data::Dataset> client_data,
@@ -685,18 +679,6 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
           : *std::max_element(next_index.begin(), next_index.end());
   plan.total_clients = next_index.size();
   plan.timeline = std::move(timeline_storage);
-  // Sorted by client, newest version first; then keep each client's first.
-  std::vector<std::pair<std::size_t, long>>& newest = plan.newest_download;
-  for (const Schedule::Task& tp : plan.tasks)
-    newest.emplace_back(tp.client, tp.from_version);
-  std::sort(newest.begin(), newest.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first < b.first : a.second > b.second;
-  });
-  newest.erase(std::unique(newest.begin(), newest.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first == b.first;
-                           }),
-               newest.end());
   return plan;
 }
 
@@ -786,7 +768,6 @@ Engine::EpochTable Engine::materialize_epochs(const Scenario& s,
 
 void Engine::execute(const Scenario& scenario, const Schedule& plan,
                      const EpochTable& epochs, const StepSink& sink,
-                     std::vector<std::vector<Tensor>>& version_params,
                      std::vector<std::size_t>& wire_bytes) {
   const long aggregations = static_cast<long>(plan.aggs.size());
 
@@ -828,15 +809,11 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
     version_refs[static_cast<std::size_t>(tp.from_version)].fetch_add(
         1, std::memory_order_relaxed);
   }
-  // The commit holds a reference for each client that will reference a
-  // version, so those parameters survive until run() interns them.
-  for (const auto& cv : plan.newest_download)
-    version_refs[static_cast<std::size_t>(cv.second)].fetch_add(
-        1, std::memory_order_relaxed);
 
   // Version v's parameters live until the last task downloading them has
   // broadcast (the releasing task parks the storage back in the recycler).
-  version_params.assign(static_cast<std::size_t>(aggregations) + 1, {});
+  std::vector<std::vector<Tensor>> version_params(
+      static_cast<std::size_t>(aggregations) + 1);
   std::vector<std::future<void>> futures(num_tasks);
   std::vector<ClientUpdate> task_updates(num_tasks);
   wire_bytes.assign(num_tasks, 0);
@@ -1020,9 +997,8 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
 
   const Schedule plan = build_schedule(scenario);
   EpochTable epochs = materialize_epochs(scenario, plan);
-  std::vector<std::vector<Tensor>> version_params;
   std::vector<std::size_t> wire_bytes;
-  execute(scenario, plan, epochs, sink, version_params, wire_bytes);
+  execute(scenario, plan, epochs, sink, wire_bytes);
 
   // Commit the run's durable effects. Subsequent runs (and their RNG
   // streams) continue after every stream this run touched — fast clients
@@ -1034,42 +1010,25 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
     store.add(std::move(scenario.joins[ji].dataset));
     active_.push_back(true);
   }
-  // Durable telemetry, from the executed plan.
+  // Durable telemetry, from the executed plan. A client's tasks are
+  // planned in time order and server versions only grow, so its last task
+  // leaves last_version at the newest version it downloaded.
   for (std::size_t id = 0; id < plan.tasks.size(); ++id) {
     const Schedule::Task& tp = plan.tasks[id];
     store.bump_tasks_started(tp.client, 1);
+    store.set_last_version(tp.client, tp.from_version);
     if (tp.consumed_by >= 0) {
       store.bump_updates_aggregated(tp.client, 1);
       store.bump_bytes_uplinked(tp.client, wire_bytes[id]);
     }
   }
-  // Reference snapshots: each version some client downloaded last is
-  // interned once (identical contents dedupe to one refcounted buffer), and
-  // each set_reference acquire keeps it alive after the intern's own
-  // reference drops — a version no client references never enters the
-  // store.
-  std::vector<population::SnapshotStore::Handle> interned(
-      version_params.size());
-  for (const auto& [c, v] : plan.newest_download) {
-    population::SnapshotStore::Handle& h =
-        interned[static_cast<std::size_t>(v)];
-    if (!h.valid)
-      h = pop_.snapshots.intern(version_params[static_cast<std::size_t>(v)]);
-    store.set_last_version(c, v);
-    pop_.set_reference(c, h);
-  }
-  for (const population::SnapshotStore::Handle& h : interned)
-    pop_.snapshots.release(h);
   // Deletions replace the client's data (a cold record is re-spilled in
-  // place, its old payload never decoded) and drop its snapshot reference,
-  // so a departed replica's refcount can reach zero. Adversarial data
-  // mutations are durable too: a client whose *last* mutation was a flip or
-  // backdoor keeps the hostile dataset (a later deletion supersedes both —
+  // place, its old payload never decoded). Adversarial data mutations are
+  // durable too: a client whose *last* mutation was a flip or backdoor
+  // keeps the hostile dataset (a later deletion supersedes both —
   // materialize_epochs clears final_owned when a deletion came last).
-  for (DeletionEvent& d : scenario.deletions) {
+  for (DeletionEvent& d : scenario.deletions)
     store.replace(d.client, std::move(d.new_data));
-    pop_.drop_reference(d.client);
-  }
   for (std::size_t c = 0; c < epochs.final_owned.size(); ++c)
     if (epochs.final_owned[c] >= 0)
       store.replace(c, std::move(*epochs.owned[static_cast<std::size_t>(

@@ -293,8 +293,7 @@ class Engine {
          data::Dataset server_test, FlConfig cfg);
 
   /// Population-scale construction over a *cold* population::Population
-  /// (byte-record client store + content-addressed snapshot store,
-  /// fl/population/). Clients are materialized into pooled slots only while
+  /// (byte-record client store, fl/population/). Clients are materialized into pooled slots only while
   /// they participate, so a run's resident memory is O(cohort), not
   /// O(registered clients) — see docs/population.md. Both constructors run
   /// the same code: the same data produces bit-identical StepResults.
@@ -387,14 +386,14 @@ class Engine {
   /// injections) in merged timeline order, materializing every dataset
   /// version each client trains on during the run.
   EpochTable materialize_epochs(const Scenario& s, const Schedule& plan);
-  /// Phase B. Leaves in `version_params` every version some client will
-  /// reference (Schedule::newest_download) for run() to intern, and in
-  /// `wire_bytes` each task's upload size. A failed task aborts the run:
-  /// the other tasks are waited out, cohort slots released, and the error
-  /// rethrown — nothing is committed.
+  /// Phase B. Leaves in `wire_bytes` each task's upload size. Each
+  /// broadcast version's parameters are freed once the last task that
+  /// downloads them is done with them (after its wire round-trip when the
+  /// wire needs a reference). A failed task aborts the run: the other tasks
+  /// are waited out, cohort slots released, and the error rethrown —
+  /// nothing is committed.
   void execute(const Scenario& scenario, const Schedule& plan,
                const EpochTable& epochs, const StepSink& sink,
-               std::vector<std::vector<Tensor>>& version_params,
                std::vector<std::size_t>& wire_bytes);
 
   /// True when the global model is a two-layer MLP (the `mlp<h>` family),
@@ -424,9 +423,9 @@ class Engine {
   /// thread never races the main thread's writes to global_ — which the
   /// aggregation loop performs while client tasks are still in flight.
   nn::Model replica_template_;
-  /// The federation: client store (hot or cold, fixed by the constructor)
-  /// plus the snapshot store. Every run goes through the same code; only
-  /// where a client's bytes live differs.
+  /// The federation's client store (hot or cold, fixed by the
+  /// constructor). Every run goes through the same code; only where a
+  /// client's bytes live differs.
   population::Population pop_;
   std::vector<bool> active_;  ///< false once a ClientLeaveEvent committed
   data::Dataset test_;

@@ -235,18 +235,6 @@ void ClientStateStore::set_last_version(std::size_t id, long version) {
             static_cast<std::int64_t>(version));
 }
 
-const SnapshotStore::Handle& ClientStateStore::reference(
-    std::size_t id) const {
-  GOLDFISH_CHECK(id < records_.size(), "unknown client id");
-  return records_[id].reference;
-}
-
-void ClientStateStore::set_reference(std::size_t id,
-                                     const SnapshotStore::Handle& h) {
-  GOLDFISH_CHECK(id < records_.size(), "unknown client id");
-  records_[id].reference = h;
-}
-
 std::size_t ClientStateStore::record_bytes(std::size_t id) const {
   GOLDFISH_CHECK(id < records_.size(), "unknown client id");
   return records_[id].bytes.size();

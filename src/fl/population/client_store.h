@@ -54,7 +54,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "fl/population/snapshot_store.h"
 #include "tensor/annotations.h"
 
 namespace goldfish::fl {
@@ -121,12 +120,6 @@ class ClientStateStore {
   void bump_bytes_uplinked(std::size_t id, std::uint64_t n);
   void set_last_version(std::size_t id, long version);
 
-  /// The client's reference-snapshot handle (for DeltaWire's
-  /// needs_reference() path; owned by the caller via SnapshotStore
-  /// acquire/release — the store only records it).
-  const SnapshotStore::Handle& reference(std::size_t id) const;
-  void set_reference(std::size_t id, const SnapshotStore::Handle& h);
-
   /// Size of client `id`'s cold record in bytes.
   std::size_t record_bytes(std::size_t id) const;
 
@@ -154,7 +147,6 @@ class ClientStateStore {
   struct Record {
     std::string bytes;  ///< GFP1 header (+ GFT1 tensors when cold)
     int slot = -1;      ///< resident slot, -1 when cold
-    SnapshotStore::Handle reference;  ///< caller-owned snapshot ref
   };
   struct Slot {
     data::Dataset ds;

@@ -741,5 +741,42 @@ TEST(UnlearnerEngine, AsyncDistillationScenarioRuns) {
   }
 }
 
+// run_round's mean temperature averages the clients that ran a task in the
+// round: a client that left in an earlier scenario runs none, and must not
+// count as T = 0. Each temperature is Eq. 11 of the client's |D_r| and
+// |D_f|, so the expected means are exact.
+TEST(UnlearnerEngine, MeanTemperatureAveragesClientsThatRan) {
+  Fed fed = make_fed(4, 240, 40, 381);
+  core::UnlearnConfig cfg;
+  cfg.distill.max_epochs = 1;
+  cfg.distill.batch_size = 40;
+  cfg.distill.lr = 0.05f;
+  core::GoldfishUnlearner unlearner(fed.global, fed.global, fed.parts,
+                                    fed.test, cfg);
+  unlearner.request_deletion(
+      {{/*client_id=*/0, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}});
+  const auto temperature = [&](std::size_t c) {
+    return double(cfg.distill.temperature(unlearner.remaining_data(c).size(),
+                                          unlearner.removed_data(c).size()));
+  };
+  double all = 0.0;
+  for (std::size_t c = 0; c < 4; ++c) all += temperature(c);
+  EXPECT_TRUE(bits_equal(unlearner.run_round().mean_temperature, all / 4.0));
+
+  // Client 3 leaves in a zero-aggregation scenario; the next round runs
+  // clients 0..2 only.
+  fl::Engine& eng = unlearner.engine();
+  fl::Scenario leave;
+  leave.aggregations = 0;
+  leave.leaves.push_back({0.0, 3});
+  eng.collect(std::move(leave));
+  double ran = 0.0;
+  for (std::size_t c = 0; c < 3; ++c) ran += temperature(c);
+  const auto r = unlearner.run_round();
+  EXPECT_GT(r.total_epochs_run, 0);
+  EXPECT_TRUE(bits_equal(r.mean_temperature, ran / 3.0))
+      << r.mean_temperature << " vs " << ran / 3.0;
+}
+
 }  // namespace
 }  // namespace goldfish

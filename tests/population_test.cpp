@@ -1,9 +1,9 @@
 // The population subsystem (src/fl/population/): cold client-state store
-// spill/materialize round trips, content-addressed snapshot dedup and
-// refcounting, cohort enumeration, and the engine's one commit path over
-// its two backings (hot resident clients, cold records) — including the
-// deletion-on-a-cold-client eviction that must not force a
-// materialization, and an aborted run that commits nothing.
+// spill/materialize round trips, cohort enumeration, and the engine's one
+// commit path over its two backings (hot resident clients, cold records) —
+// including the deletion-on-a-cold-client eviction that must not force a
+// materialization, durable per-client telemetry, and an aborted run that
+// commits nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,40 +164,6 @@ TEST(ClientStore, TelemetryPatchesInPlaceAndSurvivesReplace) {
   EXPECT_TRUE(datasets_bitwise_equal(store.materialize(0), fed.parts[1]));
 }
 
-// -- content-addressed snapshot store --------------------------------------
-
-TEST(SnapshotStore, DedupsIdenticalSnapshotsAndFreesAtZeroRefs) {
-  Rng rng(1201);
-  nn::Model m = nn::make_mlp({1, 4, 4}, 8, 2, rng);
-  const std::vector<Tensor> params = m.snapshot();
-
-  fl::population::SnapshotStore store;
-  const auto h1 = store.intern(params);
-  const auto h2 = store.intern(params);
-  EXPECT_EQ(h1.hash, h2.hash);
-  EXPECT_EQ(store.unique_snapshots(), 1u);
-  EXPECT_EQ(store.total_references(), 2u);
-  EXPECT_EQ(store.refcount(h1), 2);
-  EXPECT_EQ(store.interned_total(), 2u);
-  EXPECT_TRUE(snapshots_bitwise_equal(store.materialize(h1), params));
-
-  // Different content stores separately.
-  nn::Model other = nn::make_mlp({1, 4, 4}, 8, 2, rng);
-  const auto h3 = store.intern(other.snapshot());
-  EXPECT_EQ(store.unique_snapshots(), 2u);
-
-  store.release(h1);
-  EXPECT_EQ(store.refcount(h2), 1);
-  EXPECT_EQ(store.unique_snapshots(), 2u);
-  store.release(h2);
-  store.release(h3);
-  EXPECT_EQ(store.unique_snapshots(), 0u);
-  EXPECT_EQ(store.stored_bytes(), 0u);
-  EXPECT_EQ(store.refcount(h2), 0);
-  // Invalid handles are inert.
-  store.release(fl::population::SnapshotStore::Handle{});
-}
-
 // -- cohort participation --------------------------------------------------
 
 TEST(CohortParticipation, DeterministicSortedDistinctAndConsistent) {
@@ -309,19 +275,22 @@ TEST(PopulationEngine, MatchesResidentEngineBitForBit) {
                                         populated.global_model().snapshot()))
         << "threads=" << threads;
 
-    // End of run: every cohort slot returned, only referenced versions
-    // remain pinned in the snapshot store.
+    // End of run: every cohort slot returned, and both backings committed
+    // the same durable telemetry.
     auto* pop = populated.population();
     ASSERT_NE(pop, nullptr);
     EXPECT_EQ(pop->clients.resident_bytes(), 0u);
     EXPECT_GT(pop->clients.materializations(), 0u);
-    EXPECT_GE(pop->snapshots.total_references(), 1u);
+    for (std::size_t c = 0; c < populated.num_clients(); ++c)
+      EXPECT_TRUE(telemetry_equal(pop->clients.telemetry(c),
+                                  resident.population()->clients.telemetry(c)))
+          << "threads=" << threads << " client " << c;
   }
 }
 
 TEST(PopulationEngine, DurableStateAndTelemetryCommit) {
   // One commit path, two backings: the resident constructor's hot store
-  // commits exactly the telemetry and snapshot references a cold one does.
+  // commits exactly the telemetry a cold one does.
   Fed fed = make_fed(5, 150, 40, 1602);
   fl::FlConfig cfg = fast_cfg();
   auto cold = make_engine(false, fed, cfg);
@@ -343,10 +312,10 @@ TEST(PopulationEngine, DurableStateAndTelemetryCommit) {
     }
     EXPECT_EQ(aggregated, 10u);  // 2 barrier rounds × 5 clients
     EXPECT_GE(started, aggregated);
-    // All five clients downloaded the same final version: one deduped
-    // snapshot, five references.
-    EXPECT_EQ(pop->snapshots.unique_snapshots(), 1u);
-    EXPECT_EQ(pop->snapshots.total_references(), 5u);
+    // Every client's newest download is the second round's broadcast.
+    for (std::size_t c = 0; c < eng->num_clients(); ++c)
+      EXPECT_EQ(pop->clients.telemetry(c).last_version, 1)
+          << "client " << c;
   }
   for (std::size_t c = 0; c < fed.parts.size(); ++c)
     EXPECT_TRUE(telemetry_equal(cold->population()->clients.telemetry(c),
@@ -397,8 +366,6 @@ TEST(PopulationEngine, AbortedRunCommitsNothing) {
     });
 
     const auto* pop = eng->population();
-    const std::size_t refs = pop->snapshots.total_references();
-    const std::size_t unique = pop->snapshots.unique_snapshots();
     std::vector<fl::population::ClientStateStore::Telemetry> telemetry;
     for (std::size_t c = 0; c < eng->num_clients(); ++c)
       telemetry.push_back(pop->clients.telemetry(c));
@@ -414,8 +381,6 @@ TEST(PopulationEngine, AbortedRunCommitsNothing) {
     EXPECT_FALSE(eng->running());
     EXPECT_EQ(eng->num_clients(), fed.parts.size());
     EXPECT_EQ(eng->rounds_completed(), rounds);
-    EXPECT_EQ(pop->snapshots.total_references(), refs);
-    EXPECT_EQ(pop->snapshots.unique_snapshots(), unique);
     for (std::size_t c = 0; c < eng->num_clients(); ++c)
       EXPECT_TRUE(telemetry_equal(pop->clients.telemetry(c), telemetry[c]))
           << "client " << c;
@@ -455,8 +420,7 @@ TEST(PopulationEngine, DeletionOnColdClientEvictsWithoutMaterializing) {
   const std::size_t bytes_before = pop->clients.record_bytes(cold);
 
   // A zero-aggregation run whose only event deletes the cold client's rows:
-  // the record is re-spilled and its snapshot references dropped WITHOUT
-  // decoding a single tensor.
+  // the record is re-spilled WITHOUT decoding a single tensor.
   fl::Scenario del;
   del.aggregations = 0;
   del.deletions.push_back(
@@ -468,25 +432,47 @@ TEST(PopulationEngine, DeletionOnColdClientEvictsWithoutMaterializing) {
                                      fed.parts[cold].subset({0, 1, 2, 3, 4})));
 }
 
-TEST(PopulationEngine, SnapshotRefcountsReachZeroAfterDeletionEvents) {
-  Fed fed = make_fed(4, 120, 30, 1604);
+TEST(PopulationEngine, LastVersionIsEachClientsNewestDownload) {
+  // last_version is the newest server version any of the client's tasks
+  // downloaded in the latest run it started a task in (versions count from
+  // 0 within each run). Pinned over a cohort-sampled, jittered async run
+  // with a delta-quantized wire, a deletion and a join, then a second,
+  // shorter run that overwrites the clients it samples; both backings
+  // commit the same values.
+  const std::vector<long> expected = {3, 5, 1, 5, 1, 5, 1, 4, 0, 1, 0};
+  Fed fed = make_fed(10, 300, 40, 1607);
   fl::FlConfig cfg = fast_cfg();
-  fl::Engine eng(fed.global, make_population(fed.parts), fed.test, cfg);
-  auto* pop = eng.population();
-  eng.collect(eng.sync_scenario(1));
-  EXPECT_EQ(pop->snapshots.unique_snapshots(), 1u);
-  EXPECT_EQ(pop->snapshots.total_references(), 4u);
+  cfg.async.buffer_size = 3;
+  cfg.async.duration_log_jitter = 0.5;
+  auto cold = make_engine(false, fed, cfg);
+  auto hot = make_engine(true, fed, cfg);
+  for (fl::Engine* eng : {cold.get(), hot.get()}) {
+    SCOPED_TRACE(eng == hot.get() ? "hot" : "cold");
+    fl::Scenario s = eng->async_scenario(6);
+    s.participation = std::make_unique<fl::CohortParticipation>(4, 31);
+    s.wire = std::make_unique<fl::DeltaWire>(
+        std::make_unique<fl::QuantizedWire>());
+    s.deletions.push_back({1.0, 1, fed.parts[1].subset({0, 1, 2, 3, 4})});
+    s.joins.push_back({1.5, fed.parts[2].subset({0, 1, 2, 3, 4, 5})});
+    ASSERT_EQ(eng->collect(std::move(s)).size(), 6u);
 
-  // Delete every client's data: each commit drops the departed replica's
-  // reference, and the last drop frees the deduped buffer entirely.
-  fl::Scenario del;
-  del.aggregations = 0;
-  for (std::size_t c = 0; c < 4; ++c)
-    del.deletions.push_back({0.0, c, fed.parts[c].subset({0, 1, 2})});
-  eng.collect(std::move(del));
-  EXPECT_EQ(pop->snapshots.total_references(), 0u);
-  EXPECT_EQ(pop->snapshots.unique_snapshots(), 0u);
-  EXPECT_EQ(pop->snapshots.stored_bytes(), 0u);
+    fl::Scenario again = eng->async_scenario(2);
+    again.participation = std::make_unique<fl::CohortParticipation>(3, 32);
+    again.wire = std::make_unique<fl::DeltaWire>(
+        std::make_unique<fl::QuantizedWire>());
+    ASSERT_EQ(eng->collect(std::move(again)).size(), 2u);
+
+    const auto& store = eng->population()->clients;
+    ASSERT_EQ(store.num_clients(), expected.size());
+    std::vector<long> got;
+    for (std::size_t c = 0; c < store.num_clients(); ++c)
+      got.push_back(store.telemetry(c).last_version);
+    EXPECT_EQ(got, expected);
+  }
+  for (std::size_t c = 0; c < cold->num_clients(); ++c)
+    EXPECT_TRUE(telemetry_equal(cold->population()->clients.telemetry(c),
+                                hot->population()->clients.telemetry(c)))
+        << "client " << c;
 }
 
 TEST(PopulationEngine, JoinsFlipsAndLeavesMatchResidentMode) {
