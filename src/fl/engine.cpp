@@ -81,6 +81,9 @@ struct TimelineRef {
   double time = 0.0;
   int kind = kDeletion;
   std::size_t index = 0;  // into the scenario vector of that kind
+  /// Run-local slot of the client a data-mutating event (deletion, flip,
+  /// backdoor) targets; filled in by Phase A when it applies the event.
+  std::size_t slot = 0;
 };
 
 /// Merge every scenario event onto one timeline, ordered (time, kind,
@@ -142,10 +145,13 @@ double wire_reconstruction_error(const std::vector<Tensor>& trained,
 }  // namespace
 
 /// Phase A output: the complete event plan, fixed before any training runs.
+/// Its size follows what the run touches — tasks, timeline events and the
+/// clients they name — never the registered population.
 struct Engine::Schedule {
   /// One planned local-training execution on the virtual timeline.
   struct Task {
     std::size_t client = 0;
+    std::size_t slot = 0;   ///< the client's run-local slot
     long index = 0;         ///< per-client sequence number (RNG stream step)
     long from_version = 0;  ///< server version the client downloaded
     int epoch = 0;          ///< which of the client's datasets it trains on
@@ -167,14 +173,18 @@ struct Engine::Schedule {
 
   std::vector<Task> tasks;
   std::vector<Agg> aggs;
-  /// merged_timeline of the planned scenario, cached for the epoch replay.
+  /// merged_timeline of the planned scenario, each client event carrying
+  /// its target's slot, cached for the epoch replay.
   std::vector<TimelineRef> timeline;
+  /// Slot → client id: every client the run touched (a task, or a
+  /// deletion / leave / join / flip / backdoor event, or a participation
+  /// refusal), in first-touch order.
+  std::vector<std::size_t> clients;
   /// Max tasks any one client started: how many (client, round) RNG steps
   /// the run consumed. Fast clients lap the aggregation count, so advancing
   /// the round counter by less than this would hand later rounds
   /// already-used training streams.
   long rounds_consumed = 0;
-  std::size_t total_clients = 0;        ///< pre-run clients + joins
   std::vector<std::size_t> join_order;  ///< scenario.joins indices, id order
 };
 
@@ -191,6 +201,7 @@ Engine::Engine(nn::Model global, population::Population pop,
       replica_template_(global_),
       pop_(std::move(pop)),
       active_(num_clients(), true),
+      active_count_(num_clients()),
       test_(std::move(server_test)),
       cfg_(validated(std::move(cfg), num_clients())),
       sched_(&runtime::scheduler_for(cfg_.threads, owned_sched_)),
@@ -253,11 +264,6 @@ const data::Dataset& Engine::client_data(std::size_t c) const {
                  "client_data() needs resident clients; population engines "
                  "keep clients cold (population()->clients)");
   return pop_.clients.resident_dataset(c);
-}
-
-std::size_t Engine::active_clients() const {
-  return static_cast<std::size_t>(
-      std::count(active_.begin(), active_.end(), true));
 }
 
 bool Engine::stackable_mlp() const {
@@ -360,21 +366,31 @@ void Engine::stacked_score(std::vector<ClientUpdate>& updates, bool with_mse,
 void Engine::validate_scenario(const Scenario& s) const {
   GOLDFISH_CHECK(s.aggregations >= 0, "negative aggregation count");
   const std::size_t total = num_clients() + s.joins.size();
-  std::vector<bool> has_deletion(total, false);
-  for (const DeletionEvent& d : s.deletions) {
+  // Each deletion carries the client's *entire* remaining dataset, split
+  // from the pre-run data (core::make_async_deletion): a second event for
+  // the same client would have been split from that same pre-run data too
+  // and silently resurrect the first event's deleted rows. Issue follow-up
+  // deletions in a later run, where the split sees the shrunk data. Repeats
+  // are found by sorting (client, declaration index) pairs — O(events log
+  // events), whatever the registry size — and the first repeat in
+  // declaration order fails where the event loop reaches it.
+  std::vector<std::pair<std::size_t, std::size_t>> by_client;
+  by_client.reserve(s.deletions.size());
+  for (std::size_t i = 0; i < s.deletions.size(); ++i)
+    by_client.emplace_back(s.deletions[i].client, i);
+  std::sort(by_client.begin(), by_client.end());
+  std::size_t first_repeat = s.deletions.size();
+  for (std::size_t i = 1; i < by_client.size(); ++i)
+    if (by_client[i].first == by_client[i - 1].first)
+      first_repeat = std::min(first_repeat, by_client[i].second);
+  for (std::size_t i = 0; i < s.deletions.size(); ++i) {
+    const DeletionEvent& d = s.deletions[i];
     GOLDFISH_CHECK(d.client < total, "deletion for unknown client");
     GOLDFISH_CHECK(!d.new_data.empty(),
                    "deletion would leave a client without data");
-    // Each event carries the client's *entire* remaining dataset, split
-    // from the pre-run data (core::make_async_deletion): a second event for
-    // the same client would have been split from that same pre-run data too
-    // and silently resurrect the first event's deleted rows. Issue
-    // follow-up deletions in a later run, where the split sees the shrunk
-    // data.
-    GOLDFISH_CHECK(!has_deletion[d.client],
+    GOLDFISH_CHECK(i != first_repeat,
                    "multiple deletions for one client in a single "
                    "run; split them across runs");
-    has_deletion[d.client] = true;
   }
   for (const ClientLeaveEvent& l : s.leaves)
     GOLDFISH_CHECK(l.client < total, "leave event for unknown client");
@@ -397,20 +413,37 @@ void Engine::validate_scenario(const Scenario& s) const {
   }
 }
 
-Engine::Schedule Engine::build_schedule(const Scenario& s) const {
+Engine::Schedule Engine::build_schedule(const Scenario& s) {
   Schedule plan;
   const std::size_t n0 = num_clients();
+  std::size_t total = n0;  // registered clients, plus joins applied so far
+  if (run_state_.size() < n0 + s.joins.size())
+    run_state_.resize(n0 + s.joins.size());
 
-  // Per-client builder state; grows when clients join.
-  std::vector<long> next_index(n0, 0);
-  std::vector<int> epoch(n0, 0);
-  // A client has at most one task in flight; `poisoned` marks an in-flight
-  // task that must never reach the buffer (its data had rows deleted, or
-  // the client left before the upload).
-  std::vector<bool> poisoned(n0, false);
-  std::vector<bool> in_flight(n0, false);
-  std::vector<bool> parked(n0, false);  // refused by the participation policy
-  std::vector<bool> active(active_.begin(), active_.end());
+  // Whatever happens below (a policy or an event check throwing included),
+  // the entries this run touched are back in their default state when
+  // Phase A exits. The guard owns the slot → client list for that reason.
+  struct Reset {
+    std::vector<ClientRun>& state;
+    std::vector<std::size_t> touched;
+    ~Reset() {
+      for (std::size_t c : touched) state[c] = ClientRun{};
+    }
+  } reset{run_state_, {}};
+  // The client's entry, claiming a run-local slot on first touch. Only
+  // writes go through here: an untouched entry reads as the default.
+  const auto touch = [&](std::size_t c) -> ClientRun& {
+    ClientRun& e = run_state_[c];
+    if (e.slot < 0) {
+      e.slot = static_cast<int>(reset.touched.size());
+      reset.touched.push_back(c);
+    }
+    return e;
+  };
+  const auto is_active = [&](std::size_t c) {
+    return !run_state_[c].left && (c >= n0 || active_[c]);
+  };
+  std::size_t active_now = active_count_;
 
   std::vector<std::size_t> buffer;
   long server_version = 0;
@@ -423,11 +456,6 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
   BufferPolicy& how_many = *s.buffer;
   ClockPolicy& clock = *s.clock;
 
-  const auto active_count = [&]() -> std::size_t {
-    return static_cast<std::size_t>(
-        std::count(active.begin(), active.end(), true));
-  };
-
   // Min-heap of completions keyed (finish time, client id, task id); the
   // client id breaks virtual-time ties deterministically.
   using Completion = std::tuple<double, std::size_t, std::size_t>;
@@ -439,27 +467,29 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
   std::priority_queue<Wake, std::vector<Wake>, std::greater<Wake>> wakes;
 
   const auto start_task = [&](std::size_t c, double now) {
+    ClientRun& e = touch(c);
     Schedule::Task tp;
     tp.client = c;
-    tp.index = next_index[c]++;
+    tp.slot = static_cast<std::size_t>(e.slot);
+    tp.index = e.next_index++;
     tp.from_version = server_version;
-    tp.epoch = epoch[c];
+    tp.epoch = e.epoch;
     const double dur = clock.duration(c, tp.index);
     GOLDFISH_CHECK(dur > 0.0, "clock policy returned a non-positive duration");
     tp.finish = now + dur;
-    in_flight[c] = true;
-    parked[c] = false;
+    e.in_flight = true;
+    e.parked = false;
     completions.emplace(tp.finish, c, plan.tasks.size());
     plan.tasks.push_back(tp);
   };
 
   const auto maybe_start = [&](std::size_t c, double now) {
-    if (!active[c] || in_flight[c]) return;
+    if (!is_active(c) || run_state_[c].in_flight) return;
     if (who.participates(c, server_version, now)) {
       start_task(c, now);
       return;
     }
-    parked[c] = true;
+    touch(c).parked = true;
     const double retry = who.retry_at(c, server_version, now);
     if (retry > now) wakes.emplace(retry, c);
   };
@@ -476,42 +506,42 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
   // The scenario's events on one timeline, ordered (time, kind, declaration
   // index): state changes always apply before completions at the same
   // virtual time.
-  std::vector<TimelineRef> timeline_storage = merged_timeline(s);
-  const std::vector<TimelineRef>& timeline = timeline_storage;
+  std::vector<TimelineRef> timeline = merged_timeline(s);
   std::size_t next_event = 0;
 
-  const auto apply_event = [&](const TimelineRef& ev, bool live) {
+  // Applies `ev`, recording a data-mutating event's target slot in it.
+  const auto apply_event = [&](TimelineRef& ev, bool live) {
     switch (ev.kind) {
       case TimelineRef::kDeletion: {
         const DeletionEvent& d = s.deletions[ev.index];
-        GOLDFISH_CHECK(d.client < next_index.size(),
+        GOLDFISH_CHECK(d.client < total,
                        "deletion targets a client that has not joined yet");
-        ++epoch[d.client];
+        ClientRun& e = touch(d.client);
+        ev.slot = static_cast<std::size_t>(e.slot);
+        ++e.epoch;
         // Evict its buffered updates: they trained on deleted rows.
         evict_buffered(d.client);
         // Its in-flight task (if any) is void on arrival.
-        if (in_flight[d.client]) poisoned[d.client] = true;
+        if (e.in_flight) e.poisoned = true;
         break;
       }
       case TimelineRef::kLeave: {
         const ClientLeaveEvent& l = s.leaves[ev.index];
-        GOLDFISH_CHECK(l.client < next_index.size(),
+        GOLDFISH_CHECK(l.client < total,
                        "leave targets a client that has not joined yet");
-        active[l.client] = false;
-        parked[l.client] = false;
+        if (is_active(l.client)) --active_now;
+        ClientRun& e = touch(l.client);
+        e.left = true;
+        e.parked = false;
         // The device is gone: its in-flight upload never arrives. Updates
         // it already buffered on the server stay valid.
-        if (in_flight[l.client]) poisoned[l.client] = true;
+        if (e.in_flight) e.poisoned = true;
         break;
       }
       case TimelineRef::kJoin: {
-        const std::size_t id = next_index.size();
-        next_index.push_back(0);
-        epoch.push_back(0);
-        poisoned.push_back(false);
-        in_flight.push_back(false);
-        parked.push_back(false);
-        active.push_back(true);
+        const std::size_t id = total++;
+        ++active_now;
+        touch(id);  // its slot serves the join payload as epoch 0
         plan.join_order.push_back(ev.index);
         if (live) maybe_start(id, s.joins[ev.index].time);
         break;
@@ -521,18 +551,22 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
         break;
       case TimelineRef::kFlip: {
         const LabelFlipEvent& f = s.label_flips[ev.index];
-        GOLDFISH_CHECK(f.client < next_index.size(),
+        GOLDFISH_CHECK(f.client < total,
                        "label flip targets a client that has not joined yet");
         // Only tasks started after the event train on the hostile data:
         // buffered updates and the in-flight task keep their honest epoch.
-        ++epoch[f.client];
+        ClientRun& e = touch(f.client);
+        ev.slot = static_cast<std::size_t>(e.slot);
+        ++e.epoch;
         break;
       }
       case TimelineRef::kBackdoor: {
         const BackdoorInjectEvent& b = s.backdoors[ev.index];
-        GOLDFISH_CHECK(b.client < next_index.size(),
+        GOLDFISH_CHECK(b.client < total,
                        "backdoor targets a client that has not joined yet");
-        ++epoch[b.client];
+        ClientRun& e = touch(b.client);
+        ev.slot = static_cast<std::size_t>(e.slot);
+        ++e.epoch;
         break;
       }
       case TimelineRef::kAudit:
@@ -542,7 +576,7 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
   };
 
   // Buffer size for the first aggregation.
-  long k = std::max(1L, how_many.size(0, 0.0, 0, active_count()));
+  long k = std::max(1L, how_many.size(0, 0.0, 0, active_now));
 
   // Every active client downloads version 0 and starts at t = 0 (subject to
   // the participation policy). A zero-aggregation horizon plans no tasks at
@@ -562,11 +596,11 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
     const double t_comp =
         completions.empty() ? kInf : std::get<0>(completions.top());
     const double t_wake = wakes.empty() ? kInf : wakes.top().first;
-    const double t_event =
-        next_event < timeline.size() ? timeline[next_event].time : kInf;
+    const bool has_event = next_event < timeline.size();
+    const double t_event = has_event ? timeline[next_event].time : kInf;
 
     // Timeline events apply before anything else at the same instant.
-    if (t_event <= t_comp && t_event <= t_wake) {
+    if (has_event && t_event <= t_comp && t_event <= t_wake) {
       last_time = std::max(last_time, t_event);
       apply_event(timeline[next_event++], /*live=*/true);
       continue;
@@ -577,8 +611,8 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
     // staleness for progress, never deadlock the server.
     if (t_comp == kInf && t_wake == kInf) {
       bool any = false;
-      for (std::size_t c = 0; c < next_index.size(); ++c)
-        if (active[c] && !in_flight[c]) {
+      for (std::size_t c = 0; c < total; ++c)
+        if (is_active(c) && !run_state_[c].in_flight) {
           start_task(c, last_time);
           any = true;
         }
@@ -594,7 +628,7 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
       while (!wakes.empty() && wakes.top().first == t_wake) {
         const std::size_t c = wakes.top().second;
         wakes.pop();
-        if (parked[c]) maybe_start(c, t_wake);
+        if (run_state_[c].parked) maybe_start(c, t_wake);
       }
       continue;
     }
@@ -612,10 +646,10 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
     }
     bool version_advanced = false;
     for (std::size_t id : batch) {
-      Schedule::Task& tp = plan.tasks[id];
-      in_flight[tp.client] = false;
-      if (poisoned[tp.client]) {
-        poisoned[tp.client] = false;
+      ClientRun& e = run_state_[plan.tasks[id].client];
+      e.in_flight = false;
+      if (e.poisoned) {
+        e.poisoned = false;
         ++dropped;
         continue;
       }
@@ -638,7 +672,7 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
         ap.dropped_so_far = dropped;
         ap.aggregator = current_agg;
         ap.audit = current_audit;
-        ap.active_clients = active_count();
+        ap.active_clients = active_now;
         ++server_version;
         version_advanced = true;
         plan.aggs.push_back(std::move(ap));
@@ -646,7 +680,7 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
         // The next aggregation's K, informed by the staleness just observed.
         k = std::max(1L, how_many.size(static_cast<long>(plan.aggs.size()),
                                        staleness_mean, staleness_max,
-                                       active_count()));
+                                       active_now));
       }
     }
     if (static_cast<long>(plan.aggs.size()) == s.aggregations) break;
@@ -656,15 +690,15 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
     // completed clients' membership probes answer against it) and the
     // rescan then visits cohort members only — never the whole population.
     if (version_advanced && who.enumerates_cohort())
-      who.cohort(server_version, next_index.size());
+      who.cohort(server_version, total);
     for (std::size_t id : batch) maybe_start(plan.tasks[id].client, now);
     if (version_advanced) {
       if (who.enumerates_cohort()) {
-        for (std::size_t c : who.cohort(server_version, next_index.size()))
+        for (std::size_t c : who.cohort(server_version, total))
           maybe_start(c, now);
       } else {
-        for (std::size_t c = 0; c < next_index.size(); ++c)
-          if (parked[c]) maybe_start(c, now);
+        for (std::size_t c = 0; c < total; ++c)
+          if (run_state_[c].parked) maybe_start(c, now);
       }
     }
   }
@@ -673,54 +707,56 @@ Engine::Schedule Engine::build_schedule(const Scenario& s) const {
   while (next_event < timeline.size())
     apply_event(timeline[next_event++], /*live=*/false);
 
-  plan.rounds_consumed =
-      next_index.empty()
-          ? 0
-          : *std::max_element(next_index.begin(), next_index.end());
-  plan.total_clients = next_index.size();
-  plan.timeline = std::move(timeline_storage);
+  for (std::size_t c : reset.touched)
+    plan.rounds_consumed =
+        std::max(plan.rounds_consumed, run_state_[c].next_index);
+  plan.clients = reset.touched;
+  plan.timeline = std::move(timeline);
   return plan;
 }
 
-/// Every dataset version each client trains on during the run, in epoch
-/// order (Schedule::Task::epoch indexes epochs[client]). Deletion payloads
-/// and join payloads are borrowed from the scenario; flipped and poisoned
-/// versions are derived here and owned by the table.
+/// Every dataset version each touched client trains on during the run, in
+/// epoch order, by run-local slot (Schedule::Task::epoch indexes
+/// epochs[task.slot]). Deletion payloads and join payloads are borrowed
+/// from the scenario; flipped and poisoned versions are derived here and
+/// owned by the table.
 struct Engine::EpochTable {
   std::vector<std::vector<const data::Dataset*>> epochs;
   std::vector<std::unique_ptr<data::Dataset>> owned;
-  /// Per client: index into `owned` of its final (post-run) dataset when
-  /// the last data mutation was a derived one (flip / backdoor), else -1.
-  /// Engine::run commits these durably after the deletion/join commits.
+  /// Per slot: index into `owned` of its client's final (post-run) dataset
+  /// when the last data mutation was a derived one (flip / backdoor), else
+  /// -1. Engine::run commits these durably after the deletion/join commits.
   std::vector<int> final_owned;
 };
 
 Engine::EpochTable Engine::materialize_epochs(const Scenario& s,
                                               const Schedule& plan) {
   EpochTable t;
-  t.epochs.resize(plan.total_clients);
-  t.final_owned.assign(plan.total_clients, -1);
+  const std::size_t slots = plan.clients.size();
+  t.epochs.resize(slots);
+  t.final_owned.assign(slots, -1);
   const std::size_t n0 = num_clients();
   // Epoch 0: pre-run data for existing clients, the join payload for joined
   // ones (ids are assigned in join-application order). A cold record is
   // decoded only if the run actually reads its data — a consumed training
   // task, or a flip / backdoor derivation (which transforms the current
-  // data); a hot record is served from its slot. A client whose only event
-  // is a deletion stays cold: its epoch-0 entry is a never-dereferenced
-  // placeholder, and the commit re-spills the record without reading it
-  // (the eviction-without-materialization contract, pinned by
-  // ClientStateStore::materializations()).
-  std::vector<bool> needs(n0, false);
+  // data); a hot record is served from its slot. A client whose only events
+  // are a deletion or a leave stays cold: its epoch-0 entry is a
+  // never-dereferenced placeholder, and the commit re-spills the record
+  // without reading it (the eviction-without-materialization contract,
+  // pinned by ClientStateStore::materializations()).
+  std::vector<bool> needs(slots, false);
   for (const Schedule::Task& tp : plan.tasks)
-    if (tp.consumed_by >= 0 && tp.client < n0) needs[tp.client] = true;
-  for (const LabelFlipEvent& f : s.label_flips)
-    if (f.client < n0) needs[f.client] = true;
-  for (const BackdoorInjectEvent& b : s.backdoors)
-    if (b.client < n0) needs[b.client] = true;
-  for (std::size_t c = 0; c < n0; ++c)
-    t.epochs[c].push_back(needs[c] ? &pop_.clients.materialize(c) : nullptr);
-  for (std::size_t p = 0; p < plan.join_order.size(); ++p)
-    t.epochs[n0 + p].push_back(&s.joins[plan.join_order[p]].dataset);
+    if (tp.consumed_by >= 0) needs[tp.slot] = true;
+  for (const TimelineRef& ev : plan.timeline)
+    if (ev.kind == TimelineRef::kFlip || ev.kind == TimelineRef::kBackdoor)
+      needs[ev.slot] = true;
+  for (std::size_t k = 0; k < slots; ++k) {
+    const std::size_t c = plan.clients[k];
+    t.epochs[k].push_back(c >= n0 ? &s.joins[plan.join_order[c - n0]].dataset
+                          : needs[k] ? &pop_.clients.materialize(c)
+                                     : nullptr);
+  }
 
   // Replay the data-mutating events in the exact merged order Phase A
   // applied them, so epoch numbers line up with the schedule's counters —
@@ -729,17 +765,15 @@ Engine::EpochTable Engine::materialize_epochs(const Scenario& s,
   for (const TimelineRef& ev : plan.timeline) {
     switch (ev.kind) {
       case TimelineRef::kDeletion: {
-        const DeletionEvent& d = s.deletions[ev.index];
-        t.epochs[d.client].push_back(&d.new_data);
-        t.final_owned[d.client] = -1;
+        t.epochs[ev.slot].push_back(&s.deletions[ev.index].new_data);
+        t.final_owned[ev.slot] = -1;
         break;
       }
       case TimelineRef::kFlip: {
-        const LabelFlipEvent& f = s.label_flips[ev.index];
-        auto ds = std::make_unique<data::Dataset>(*t.epochs[f.client].back());
+        auto ds = std::make_unique<data::Dataset>(*t.epochs[ev.slot].back());
         data::flip_labels(*ds);
-        t.epochs[f.client].push_back(ds.get());
-        t.final_owned[f.client] = static_cast<int>(t.owned.size());
+        t.epochs[ev.slot].push_back(ds.get());
+        t.final_owned[ev.slot] = static_cast<int>(t.owned.size());
         t.owned.push_back(std::move(ds));
         break;
       }
@@ -749,11 +783,11 @@ Engine::EpochTable Engine::materialize_epochs(const Scenario& s,
         // function of (seed, event index), never of thread timing.
         Rng rng(mix_seed(cfg_.seed ^ kBackdoorSalt, ev.index, 0));
         auto ds = std::make_unique<data::Dataset>(
-            data::poison_dataset(*t.epochs[b.client].back(), b.spec,
+            data::poison_dataset(*t.epochs[ev.slot].back(), b.spec,
                                  b.fraction, rng)
                 .poisoned);
-        t.epochs[b.client].push_back(ds.get());
-        t.final_owned[b.client] = static_cast<int>(t.owned.size());
+        t.epochs[ev.slot].push_back(ds.get());
+        t.final_owned[ev.slot] = static_cast<int>(t.owned.size());
         t.owned.push_back(std::move(ds));
         break;
       }
@@ -771,7 +805,7 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
                      std::vector<std::size_t>& wire_bytes) {
   const long aggregations = static_cast<long>(plan.aggs.size());
 
-  // Per-client dataset epochs, materialized by materialize_epochs in merged
+  // Per-slot dataset epochs, materialized by materialize_epochs in merged
   // timeline order: 0 = the client's starting data, 1.. = post-deletion
   // remainders and flipped/poisoned versions.
   const std::vector<std::vector<const data::Dataset*>>& epoch_data =
@@ -848,7 +882,7 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
             version_refs[from_v].fetch_sub(1, std::memory_order_acq_rel) == 1)
           version_params[from_v].clear();
         const data::Dataset& ds =
-            *epoch_data[tp.client][static_cast<std::size_t>(tp.epoch)];
+            *epoch_data[tp.slot][static_cast<std::size_t>(tp.epoch)];
         update_fn_(tp.client, local, ds, round_base + tp.index);
         // The upload travels as real bytes: the client encodes its trained
         // parameters, the server decodes them — what aggregation sees is the
@@ -950,8 +984,8 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
         } catch (...) {
         }
       }
-    // The aborted run commits nothing; only the cohort slots are returned.
-    pop_.clients.release_all();
+    // The aborted run commits nothing; Engine::run returns the cohort
+    // slots on its way out.
     throw;
   }
 }
@@ -996,6 +1030,13 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
       scenario.wire->encoded_bytes(replica_template_.snapshot()));
 
   const Schedule plan = build_schedule(scenario);
+  // However the run ends from here — committed, or aborted by a throwing
+  // task or epoch derivation — every materialized cohort slot is returned:
+  // a cold store's steady-state resident memory goes back to zero.
+  struct ReleaseSlots {
+    population::ClientStateStore& store;
+    ~ReleaseSlots() { store.release_all(); }
+  } release{pop_.clients};
   EpochTable epochs = materialize_epochs(scenario, plan);
   std::vector<std::size_t> wire_bytes;
   execute(scenario, plan, epochs, sink, wire_bytes);
@@ -1009,6 +1050,7 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
   for (std::size_t ji : plan.join_order) {
     store.add(std::move(scenario.joins[ji].dataset));
     active_.push_back(true);
+    ++active_count_;
   }
   // Durable telemetry, from the executed plan. A client's tasks are
   // planned in time order and server versions only grow, so its last task
@@ -1029,14 +1071,16 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
   // materialize_epochs clears final_owned when a deletion came last).
   for (DeletionEvent& d : scenario.deletions)
     store.replace(d.client, std::move(d.new_data));
-  for (std::size_t c = 0; c < epochs.final_owned.size(); ++c)
-    if (epochs.final_owned[c] >= 0)
-      store.replace(c, std::move(*epochs.owned[static_cast<std::size_t>(
-                           epochs.final_owned[c])]));
-  for (const ClientLeaveEvent& l : scenario.leaves) active_[l.client] = false;
-  // End of run: return every materialized cohort slot — a cold store's
-  // steady-state resident memory goes back to zero.
-  store.release_all();
+  for (std::size_t k = 0; k < epochs.final_owned.size(); ++k)
+    if (epochs.final_owned[k] >= 0)
+      store.replace(plan.clients[k],
+                    std::move(*epochs.owned[static_cast<std::size_t>(
+                        epochs.final_owned[k])]));
+  for (const ClientLeaveEvent& l : scenario.leaves)
+    if (active_[l.client]) {
+      active_[l.client] = false;
+      --active_count_;
+    }
 }
 
 std::vector<StepResult> Engine::collect(Scenario scenario) {

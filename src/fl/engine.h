@@ -340,8 +340,9 @@ class Engine {
   const population::Population* population() const { return &pop_; }
   /// Registered clients, inactive (departed) ones included.
   std::size_t num_clients() const { return pop_.clients.num_clients(); }
-  /// Clients currently participating in new runs (joins − leaves).
-  std::size_t active_clients() const;
+  /// Clients currently participating in new runs (joins − leaves); a
+  /// maintained count, O(1).
+  std::size_t active_clients() const { return active_count_; }
   /// True while a run is in flight (mutating accessors are rejected).
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// Global round counter: the next unused (client, round) RNG-stream step.
@@ -380,18 +381,38 @@ class Engine {
     std::unique_ptr<nn::Model> model_;
   };
 
+  /// Phase A's per-client builder state. One entry per registered client
+  /// (plus room for the run's joins) lives in run_state_ across runs, so a
+  /// run allocates nothing per registered client; every entry is in its
+  /// default state between runs, and Phase A resets exactly the entries it
+  /// touched, also when it throws.
+  struct ClientRun {
+    long next_index = 0;  ///< tasks started this run (RNG stream step)
+    int slot = -1;        ///< run-local slot, -1 = untouched this run
+    int epoch = 0;        ///< dataset version the next task trains on
+    bool in_flight = false;
+    /// The in-flight task must never reach the buffer: its data had rows
+    /// deleted, or the client left before the upload.
+    bool poisoned = false;
+    bool parked = false;  ///< refused by the participation policy
+    bool left = false;    ///< a ClientLeaveEvent applied this run
+  };
+
   void validate_scenario(const Scenario& s) const;
-  Schedule build_schedule(const Scenario& s) const;
+  /// Phase A. Its cost is O(clients it touches + timeline events), plus
+  /// the scans that are a policy's semantics (FullParticipation's start and
+  /// parked loops, the stall re-admit).
+  Schedule build_schedule(const Scenario& s);
   /// Replay the data-mutating events (deletions, label flips, backdoor
   /// injections) in merged timeline order, materializing every dataset
-  /// version each client trains on during the run.
+  /// version each touched client trains on during the run. O(touched
+  /// clients + events): the table is indexed by run-local slot.
   EpochTable materialize_epochs(const Scenario& s, const Schedule& plan);
   /// Phase B. Leaves in `wire_bytes` each task's upload size. Each
   /// broadcast version's parameters are freed once the last task that
   /// downloads them is done with them (after its wire round-trip when the
   /// wire needs a reference). A failed task aborts the run: the other tasks
-  /// are waited out, cohort slots released, and the error rethrown —
-  /// nothing is committed.
+  /// are waited out and the error rethrown — nothing is committed.
   void execute(const Scenario& scenario, const Schedule& plan,
                const EpochTable& epochs, const StepSink& sink,
                std::vector<std::size_t>& wire_bytes);
@@ -428,6 +449,8 @@ class Engine {
   /// client's bytes live differs.
   population::Population pop_;
   std::vector<bool> active_;  ///< false once a ClientLeaveEvent committed
+  std::size_t active_count_ = 0;  ///< trues in active_, kept on commit
+  std::vector<ClientRun> run_state_;  ///< by client id; see ClientRun
   data::Dataset test_;
   FlConfig cfg_;
   std::unique_ptr<runtime::Scheduler> owned_sched_;  // only when cfg.threads

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -525,6 +526,72 @@ TEST(ScenarioTimeline, ClientLeaveVoidsInFlightAndDeactivates) {
   const auto r = eng.collect(eng.sync_scenario(1)).back();
   EXPECT_GT(r.global_accuracy, 0.0);
   EXPECT_EQ(eng.active_clients(), 2u);
+}
+
+TEST(ScenarioTimeline, ActiveCountSurvivesRepeatedLeaves) {
+  // The engine maintains its active-client count instead of recounting it:
+  // a leave counts only when it deactivates an active client. Pinned
+  // against a recount of the test's own model of the active set, over two
+  // leaves of one client in a single run, a leave of a client that departed
+  // in an earlier run, a join followed by the joiner's own leave, and a
+  // leave past the run's horizon.
+  Fed fed = make_fed(6, 240, 40, 359);
+  fl::FlConfig cfg = fast_cfg();
+  cfg.async.buffer_size = 2;
+  cfg.async.duration_log_jitter = 0.25;
+  fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
+
+  struct Change {
+    double time;
+    std::size_t client;  ///< a join's: the id it is assigned
+    bool join;
+  };
+  std::vector<bool> active(6, true);  // durable state before the run
+  // The active set after every change at or before `until` (changes are
+  // listed in time order; events apply before completions at equal times).
+  const auto model = [&](const std::vector<Change>& changes, double until) {
+    std::vector<bool> a = active;
+    for (const Change& ch : changes) {
+      if (ch.time > until) continue;
+      if (ch.join) {
+        EXPECT_EQ(a.size(), ch.client);
+        a.push_back(true);
+      } else {
+        a[ch.client] = false;
+      }
+    }
+    return a;
+  };
+  const auto recount = [](const std::vector<bool>& a) {
+    return static_cast<std::size_t>(std::count(a.begin(), a.end(), true));
+  };
+  const auto run = [&](long aggs, const std::vector<Change>& changes) {
+    fl::Scenario s = eng.async_scenario(aggs);
+    for (const Change& ch : changes) {
+      if (ch.join)
+        s.joins.push_back({ch.time, fed.parts[0].subset({0, 1, 2, 3, 4, 5})});
+      else
+        s.leaves.push_back({ch.time, ch.client});
+    }
+    const auto steps = eng.collect(std::move(s));
+    ASSERT_EQ(steps.size(), static_cast<std::size_t>(aggs));
+    for (const auto& st : steps)
+      EXPECT_EQ(st.active_clients, recount(model(changes, st.virtual_time)))
+          << "step " << st.step << " at t=" << st.virtual_time;
+    active = model(changes, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(eng.active_clients(), recount(active));
+  };
+
+  run(3, {{0.5, 2, false}});
+  ASSERT_EQ(eng.active_clients(), 5u);
+  run(8, {{0.6, 1, false},
+          {0.9, 2, false},  // departed in the previous run
+          {1.1, 6, true},
+          {1.4, 1, false},  // client 1's second leave this run
+          {2.2, 6, false},  // the joiner leaves again
+          {100.0, 0, false}});  // past the horizon: durable all the same
+  EXPECT_EQ(eng.num_clients(), 7u);
+  EXPECT_EQ(eng.active_clients(), 3u);
 }
 
 TEST(ScenarioTimeline, AggregatorSwapTakesEffectMidRun) {

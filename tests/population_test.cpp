@@ -100,6 +100,31 @@ bool telemetry_equal(const fl::population::ClientStateStore::Telemetry& a,
          a.last_version == b.last_version;
 }
 
+bool bits_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool steps_bitwise_equal(const fl::StepResult& a, const fl::StepResult& b) {
+  return a.step == b.step && bits_equal(a.virtual_time, b.virtual_time) &&
+         bits_equal(a.global_accuracy, b.global_accuracy) &&
+         a.updates_consumed == b.updates_consumed &&
+         bits_equal(a.mean_staleness, b.mean_staleness) &&
+         a.max_staleness == b.max_staleness &&
+         a.dropped_updates == b.dropped_updates &&
+         a.bytes_uplinked == b.bytes_uplinked &&
+         a.upload_bytes == b.upload_bytes &&
+         bits_equal(a.encode_error, b.encode_error) &&
+         a.active_clients == b.active_clients && a.aggregator == b.aggregator &&
+         a.has_local_accuracy == b.has_local_accuracy &&
+         bits_equal(a.min_local_accuracy, b.min_local_accuracy) &&
+         bits_equal(a.max_local_accuracy, b.max_local_accuracy) &&
+         bits_equal(a.mean_local_accuracy, b.mean_local_accuracy) &&
+         a.has_audit == b.has_audit &&
+         bits_equal(a.attack_success, b.attack_success) &&
+         bits_equal(a.mia_auc, b.mia_auc) &&
+         bits_equal(a.mia_accuracy, b.mia_accuracy);
+}
+
 // -- cold client-state store -----------------------------------------------
 
 TEST(ClientStore, SpillMaterializeRoundTripIsByteIdentical) {
@@ -396,6 +421,81 @@ TEST(PopulationEngine, AbortedRunCommitsNothing) {
     EXPECT_EQ(eng->collect(eng->sync_scenario(1)).size(), 1u);
     EXPECT_EQ(pop->clients.telemetry(2).updates_aggregated,
               telemetry[2].updates_aggregated + 1);
+  }
+}
+
+TEST(PopulationEngine, PhaseAThrowLeavesNoRunState) {
+  // Phase A keeps its per-client builder state in entries that outlive a
+  // run and resets the ones it touched — also when it throws. Runs that
+  // throw inside Phase A after tasks have started must leave the engine as
+  // a freshly built one: the next run's StepResult stream, model and
+  // telemetry match the fresh engine's bit for bit.
+  for (const bool hot : {false, true}) {
+    SCOPED_TRACE(hot ? "hot" : "cold");
+    Fed fed = make_fed(6, 180, 40, 1608);
+    fl::FlConfig cfg = fast_cfg();
+    cfg.async.buffer_size = 3;
+    cfg.async.duration_log_jitter = 0.25;
+    auto used = make_engine(hot, fed, cfg);
+    auto fresh = make_engine(hot, fed, cfg);
+
+    // A deletion, then a label flip, aimed at client 6 before it joins:
+    // valid ids for the scenario, but not yet at the event's time.
+    for (const bool flip : {false, true}) {
+      fl::Scenario s = used->async_scenario(4);
+      s.joins.push_back({2.0, fed.parts[0].subset({0, 1, 2, 3})});
+      if (flip) {
+        s.label_flips.push_back({1.0, 6});
+      } else {
+        s.deletions.push_back({1.0, 6, fed.parts[0].subset({0, 1})});
+      }
+      EXPECT_THROW(used->collect(std::move(s)), CheckError);
+    }
+    // A stall: a client joins and starts training, then every client
+    // leaves, so once the voided tasks land nothing can fill the buffer.
+    {
+      fl::Scenario s = used->sync_scenario(2, /*local_accuracy=*/false);
+      s.joins.push_back({0.25, fed.parts[1].subset({0, 1, 2, 3})});
+      for (std::size_t c = 0; c <= 6; ++c) s.leaves.push_back({0.5, c});
+      EXPECT_THROW(used->collect(std::move(s)), CheckError);
+    }
+    EXPECT_FALSE(used->running());
+    EXPECT_EQ(used->num_clients(), 6u);
+    EXPECT_EQ(used->active_clients(), 6u);
+    EXPECT_EQ(used->rounds_completed(), 0);
+
+    const auto scenario = [&](const fl::Engine& e) {
+      fl::Scenario s = e.async_scenario(5);
+      s.participation = std::make_unique<fl::CohortParticipation>(4, 19);
+      s.deletions.push_back({0.8, 2, fed.parts[2].subset({0, 1, 2, 3, 4})});
+      s.joins.push_back({1.2, fed.parts[3].subset({0, 1, 2, 3, 4, 5})});
+      s.leaves.push_back({1.6, 4});
+      s.label_flips.push_back({2.0, 6});
+      return s;
+    };
+    const auto a = used->collect(scenario(*used));
+    const auto b = fresh->collect(scenario(*fresh));
+    ASSERT_EQ(a.size(), 5u);
+    ASSERT_EQ(b.size(), 5u);
+    for (std::size_t i = 0; i < a.size(); ++i)
+      EXPECT_TRUE(steps_bitwise_equal(a[i], b[i])) << "step " << i;
+    EXPECT_TRUE(snapshots_bitwise_equal(used->global_model().snapshot(),
+                                        fresh->global_model().snapshot()));
+    EXPECT_EQ(used->rounds_completed(), fresh->rounds_completed());
+    EXPECT_EQ(used->active_clients(), fresh->active_clients());
+    ASSERT_EQ(used->num_clients(), fresh->num_clients());
+    const auto& got = used->population()->clients;
+    const auto& want = fresh->population()->clients;
+    EXPECT_EQ(got.resident_bytes(), want.resident_bytes());
+    for (std::size_t c = 0; c < used->num_clients(); ++c) {
+      EXPECT_TRUE(telemetry_equal(got.telemetry(c), want.telemetry(c)))
+          << "client " << c;
+      if (hot) {
+        EXPECT_TRUE(datasets_bitwise_equal(used->client_data(c),
+                                           fresh->client_data(c)))
+            << "client " << c;
+      }
+    }
   }
 }
 
