@@ -47,7 +47,7 @@ Tensor& Conv2d::pack_output(const Tensor& flat, long batch) {
 }
 
 Tensor& Conv2d::unpack_grad(const Tensor& grad_img) {
-  const long batch = cached_batch_;
+  const long batch = cached_input_.dim(0);
   const long oh = geom_.out_h(), ow = geom_.out_w();
   const long block = oh * ow;
   const Shape out_shape{batch, out_channels_, oh, ow};
@@ -71,26 +71,39 @@ Tensor& Conv2d::unpack_grad(const Tensor& grad_img) {
   return flat;
 }
 
+runtime::ImageColumns Conv2d::columns() const {
+  return {cached_input_.data(), cached_input_.dim(0), geom_.in_channels,
+          geom_.in_h, geom_.in_w, geom_.kernel, geom_.stride, geom_.pad};
+}
+
 const Tensor& Conv2d::forward(const Tensor& x, bool /*train*/) {
-  GOLDFISH_CHECK(x.rank() == 4, "conv expects (N,C,H,W)");
-  cached_batch_ = x.dim(0);
-  im2col_into(x, geom_, cached_cols_);
+  // The GEMM gathers from the input through this geometry, so a mismatched
+  // input would be read out of bounds.
+  GOLDFISH_CHECK(x.rank() == 4 && x.dim(1) == geom_.in_channels &&
+                     x.dim(2) == geom_.in_h && x.dim(3) == geom_.in_w,
+                 "conv input shape " + x.shape_str());
+  cached_input_ = x;  // member copy: capacity reused across steps
+  const runtime::ImageColumns cols = columns();
   // Per-channel bias = one value per row of the (outC, N·oh·ow) product
   // (and the peepholed ReLU) fused into the GEMM writeback instead of extra
   // passes over the output.
-  Tensor& flat = slot(0, {out_channels_, cached_cols_.dim(1)});
-  gemm_fused_into(flat, weight_, cached_cols_, false, false,
-                  fuse_relu() ? runtime::Epilogue::kBiasRowRelu
-                              : runtime::Epilogue::kBiasRow,
-                  bias_);
-  return pack_output(flat, cached_batch_);
+  Tensor& flat = slot(0, {out_channels_, cols.cols()});
+  runtime::sgemm(false, false, out_channels_, weight_.data(), weight_.dim(1),
+                 cols, flat.data(), flat.dim(1), /*beta=*/0.0f,
+                 fuse_relu() ? runtime::Epilogue::kBiasRowRelu
+                             : runtime::Epilogue::kBiasRow,
+                 bias_.data());
+  return pack_output(flat, x.dim(0));
 }
 
 const Tensor& Conv2d::accumulate_grads(const Tensor& grad_output) {
-  GOLDFISH_CHECK(!cached_cols_.empty(), "backward before forward");
+  GOLDFISH_CHECK(!cached_input_.empty(), "backward before forward");
   const Tensor& g = unpack_grad(grad_output);  // (outC, N·oh·ow)
-  gemm_acc(grad_weight_, g, cached_cols_, false, true);
   const long cols = g.dim(1);
+  // dW += g · colsᵀ, the transposed column matrix gathered from the input.
+  runtime::sgemm(false, true, out_channels_, g.data(), cols, columns(),
+                 grad_weight_.data(), grad_weight_.dim(1), /*beta=*/1.0f,
+                 runtime::Epilogue::kNone, nullptr);
   for (long c = 0; c < out_channels_; ++c) {
     const float* row = g.data() + c * cols;
     double acc = 0.0;
@@ -105,9 +118,8 @@ const Tensor& Conv2d::backward(const Tensor& grad_output) {
   const long cols = g.dim(1);
   Tensor& grad_cols = slot(3, {geom_.patch_size(), cols});
   gemm_into(grad_cols, weight_, g, true, false);  // (patch, N·oh·ow)
-  Tensor& gin = slot(4, {cached_batch_, geom_.in_channels, geom_.in_h,
-                         geom_.in_w});
-  col2im_into(grad_cols, cached_batch_, geom_, gin);
+  Tensor& gin = slot(4, cached_input_.shape());
+  col2im_into(grad_cols, cached_input_.dim(0), geom_, gin);
   return gin;
 }
 

@@ -1,4 +1,4 @@
-// 2-D convolution via im2col lowering.
+// 2-D convolution as implicit GEMMs over the NCHW input (no im2col matrix).
 #pragma once
 
 #include "nn/layer.h"
@@ -8,16 +8,18 @@ namespace goldfish::nn {
 
 /// Convolution with square kernels, He init. Weight layout is
 /// (out_channels, in_channels·K·K) so forward is a single matmul against the
-/// im2col matrix. A fused ReLU (Sequential's Conv2d→ReLU peephole) rides
-/// the GEMM writeback, and backward applies its mask while unpacking the
-/// incoming gradient, reading the packed output slot — no extra slot.
+/// input's column matrix, and dW one against its transpose; sgemm gathers
+/// both straight from the cached NCHW input (runtime::ImageColumns), so the
+/// column matrix is never stored. A fused ReLU (Sequential's Conv2d→ReLU
+/// peephole) rides the GEMM writeback, and backward applies its mask while
+/// unpacking the incoming gradient, reading the packed output slot — no
+/// extra slot.
 class Conv2d final : public ReluFusableLayer {
  public:
   Conv2d(long in_channels, long out_channels, long kernel, long stride,
          long pad, long in_h, long in_w, Rng& rng);
   /// Copies the parameters only: gradients start at zero, unfused, and the
-  /// im2col columns of the last forward are not copied (what clone()
-  /// returns).
+  /// input of the last forward is not copied (what clone() returns).
   Conv2d(const Conv2d& other);
   Conv2d& operator=(const Conv2d&) = delete;
 
@@ -40,9 +42,10 @@ class Conv2d final : public ReluFusableLayer {
   Tensor weight_;  // (outC, inC·K·K)
   Tensor bias_;    // (outC)
   Tensor grad_weight_, grad_bias_;
-  Tensor cached_cols_;  // im2col of the last input
-  long cached_batch_ = 0;
+  Tensor cached_input_;  // (N, C, H, W) from the last forward
 
+  /// The cached input read as its (C·K·K, N·oh·ow) column matrix.
+  runtime::ImageColumns columns() const;
   /// (outC, N·oh·ow) matmul output → (N, outC, oh, ow) image layout, into
   /// the layer's output slot: one oh·ow block copy per (channel, sample).
   Tensor& pack_output(const Tensor& flat, long batch);

@@ -21,31 +21,34 @@ const Tensor& MaxPool2d::forward(const Tensor& x, bool /*train*/) {
   GOLDFISH_CHECK(oh > 0 && ow > 0, "pool output collapses to zero");
   Tensor& out = slot(0, {N, C, oh, ow});
   argmax_.resize(out.numel());  // every entry written below
-  std::size_t oi = 0;
-  for (long n = 0; n < N; ++n) {
-    for (long c = 0; c < C; ++c) {
-      for (long y = 0; y < oh; ++y) {
-        for (long xo = 0; xo < ow; ++xo, ++oi) {
-          // Seeded from the window's own first element, so a window of
-          // values ≤ any sentinel (−inf) still owns its output and argmax.
-          std::size_t best_idx = static_cast<std::size_t>(
-              ((n * C + c) * H + y * stride_) * W + xo * stride_);
-          float best = x[best_idx];
-          for (long ky = 0; ky < kernel_; ++ky) {
-            for (long kx = 0; kx < kernel_; ++kx) {
-              const long iy = y * stride_ + ky;
-              const long ix = xo * stride_ + kx;
-              const std::size_t idx =
-                  static_cast<std::size_t>(((n * C + c) * H + iy) * W + ix);
-              if (x[idx] > best) {
-                best = x[idx];
-                best_idx = idx;
-              }
+  const std::size_t plane = static_cast<std::size_t>(H * W);
+  float* o = out.data();
+  std::size_t* arg = argmax_.data();
+  for (std::size_t base = 0; base < static_cast<std::size_t>(N * C) * plane;
+       base += plane) {
+    const float* img = x.data() + base;
+    for (long y = 0; y < oh; ++y) {
+      for (long xo = 0; xo < ow; ++xo, ++o, ++arg) {
+        // Offsets within the plane. Seeded from the window's own first
+        // element, so a window of values ≤ any sentinel (−inf) still owns
+        // its output and argmax; the strict > keeps the first maximum in
+        // row-major window order, and a NaN never displaces the running
+        // maximum (a NaN seed keeps the window).
+        const long first = y * stride_ * W + xo * stride_;
+        long best_at = first;
+        float best = img[first];
+        for (long ky = 0; ky < kernel_; ++ky) {
+          const long row = first + ky * W;
+          const float* r = img + row;
+          for (long kx = 0; kx < kernel_; ++kx) {
+            if (r[kx] > best) {
+              best = r[kx];
+              best_at = row + kx;
             }
           }
-          out[oi] = best;
-          argmax_[oi] = best_idx;
         }
+        *o = best;
+        *arg = base + static_cast<std::size_t>(best_at);
       }
     }
   }

@@ -44,11 +44,13 @@ std::atomic<std::size_t> g_heap_allocs{0};
 // The innermost BufferPoolProvision alive on this thread, if any.
 thread_local BufferPoolProvision* t_task = nullptr;
 
-// Largest block (in floats, 512 KiB) a provisioned task parks copies of:
-// room for a batch of the default B = 100 MNIST rows (78,400 floats). Above
-// it sit datasets and whole-batch conv workspaces, where a parked copy per
-// executor costs more resident memory than the allocation it saves.
-constexpr std::size_t kMaxProvisionedFloats = std::size_t{1} << 17;
+// Largest block (in floats, 2 MiB) a provisioned task parks copies of:
+// room for the per-batch conv workspaces of the default B = 100 MNIST rows
+// (lenet5's conv1 output, 6·100·784 = 470,400 floats), which a conv layer
+// that keeps no column matrix makes affordable. Above it sit datasets and
+// whole-test-set evaluation workspaces, where a parked copy per executor
+// costs more resident memory than the allocation it saves.
+constexpr std::size_t kMaxProvisionedFloats = std::size_t{1} << 19;
 
 float* heap_allocate(std::size_t n) {
 #ifdef GOLDFISH_ALLOC_STATS

@@ -65,9 +65,9 @@ class BufferPoolScope {
 /// upload awaiting aggregation). The first task to need a buffer so
 /// provisions it for every executor, and a later run that reaches a deeper
 /// concurrency than the warm-up finds its buffers parked instead of going
-/// to the heap. Blocks above 2^17 floats (datasets, whole-batch conv
-/// workspaces) are not provisioned: a parked copy per executor would cost
-/// more resident memory than the allocation it saves.
+/// to the heap. Blocks above 2^19 floats (datasets, whole-test-set
+/// evaluation workspaces) are not provisioned: a parked copy per executor
+/// would cost more resident memory than the allocation it saves.
 class BufferPoolProvision {
  public:
   explicit BufferPoolProvision(std::size_t copies);

@@ -20,22 +20,9 @@ std::pair<long, long> op_dims(const Tensor& t, bool trans) {
                : std::make_pair(t.dim(0), t.dim(1));
 }
 
-/// The output positions [lo, hi) of one kernel tap `k` along an axis whose
-/// input coordinate o·stride + k − pad lands inside [0, extent). Computed
-/// once per tap, so the im2col/col2im row loops test no bounds per element
-/// and never form a pointer outside the image plane.
-struct TapRange {
-  long lo, hi;
-  bool empty() const { return lo == hi; }
-};
-
-TapRange tap_range(long k, long stride, long pad, long extent, long out) {
-  const long first = pad - k;           // o·stride ≥ pad − k
-  const long past = extent + pad - k;   // o·stride < extent + pad − k
-  const long lo = std::min(out, first > 0 ? (first + stride - 1) / stride : 0);
-  const long hi = past > 0 ? std::min(out, (past + stride - 1) / stride) : 0;
-  return {lo, std::max(lo, hi)};
-}
+// Per-tap valid output ranges, shared with the GEMM's image packer.
+using runtime::tap_range;
+using runtime::TapRange;
 
 }  // namespace
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <tuple>
 
 #include "runtime/gemm.h"
@@ -64,6 +65,17 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1L, 2L, 19L, 33L, 97L),
                        ::testing::Bool(), ::testing::Bool()));
 
+// Tails of every block in every transpose combination: m and n one past
+// or short of a multiple of MR / NR (AVX2 6×16 and AVX-512 8×32 tiles), m
+// past MC (the tall branch), and k one short of, one past and two past KC,
+// so every packer handles a partial micro-panel and a short last slice.
+INSTANTIATE_TEST_SUITE_P(
+    BlockTails, GemmProductSet,
+    ::testing::Combine(::testing::Values(5L, 13L, 133L),
+                       ::testing::Values(255L, 257L, 515L),
+                       ::testing::Values(15L, 17L, 33L, 47L),
+                       ::testing::Bool(), ::testing::Bool()));
+
 TEST(Gemm, LargeShapeCrossesAllPanelBoundaries) {
   // Bigger than MC, NC·… in no dimension a multiple of a block size.
   Rng rng(42);
@@ -77,21 +89,28 @@ TEST(Gemm, LargeShapeCrossesAllPanelBoundaries) {
 
 TEST(Gemm, DeterministicAcrossThreadCounts) {
   Rng rng(7);
-  // Large enough to trigger the parallel path and multiple row panels.
-  Tensor a = Tensor::randn({256, 256}, rng);
-  Tensor b = Tensor::randn({256, 256}, rng);
-  Tensor c1({256, 256});
-  Tensor c8({256, 256});
   runtime::Scheduler one(1);
   runtime::Scheduler eight(8);
-  runtime::sgemm(false, false, 256, 256, 256, a.data(), 256, b.data(), 256,
-                 c1.data(), 256, &one);
-  runtime::sgemm(false, false, 256, 256, 256, a.data(), 256, b.data(), 256,
-                 c8.data(), 256, &eight);
-  // Bit-identical, not merely close: parallelism only splits row panels,
-  // never the k reduction.
-  EXPECT_EQ(0, std::memcmp(c1.data(), c8.data(),
-                           c1.numel() * sizeof(float)));
+  // (m, k, n): tall, with several row panels; and short-fat (m ≤ MC) with
+  // many column tiles, each packing its own B panel in the parallel body,
+  // over two KC slices. Both are large enough for the parallel path.
+  const long shapes[][3] = {{256, 256, 256}, {16, 300, 1000}};
+  for (const auto& [m, k, n] : shapes) {
+    SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                 std::to_string(n));
+    Tensor a = Tensor::randn({m, k}, rng);
+    Tensor b = Tensor::randn({k, n}, rng);
+    Tensor c1({m, n});
+    Tensor c8({m, n});
+    runtime::sgemm(false, false, m, n, k, a.data(), k, b.data(), n, c1.data(),
+                   n, &one);
+    runtime::sgemm(false, false, m, n, k, a.data(), k, b.data(), n, c8.data(),
+                   n, &eight);
+    // Bit-identical, not merely close: parallelism only splits output
+    // tiles, never the k reduction.
+    EXPECT_EQ(0, std::memcmp(c1.data(), c8.data(),
+                             c1.numel() * sizeof(float)));
+  }
 }
 
 TEST(Gemm, AccumulatesInPlace) {

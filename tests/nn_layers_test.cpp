@@ -2,7 +2,12 @@
 // cloning, train/eval modes).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -119,6 +124,91 @@ TEST(MaxPool, AllNegativeInfinityWindowKeepsItsOwnArgmax) {
   for (long yy = 0; yy < 2; ++yy)
     for (long xo = 2; xo < 4; ++xo) window2 += gin.at4(0, 0, yy, xo);
   EXPECT_EQ(window2, 1.0f);
+}
+
+namespace per_element {
+
+/// MaxPool2d's forward as it was written per element, kept verbatim as the
+/// reference for the row-pointer loops: output and argmax (flat input
+/// index) per output element.
+void max_pool(const Tensor& x, long kernel, long stride, Tensor& out,
+              std::vector<std::size_t>& argmax) {
+  const long N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
+  const long oh = (H - kernel) / stride + 1;
+  const long ow = (W - kernel) / stride + 1;
+  out = Tensor({N, C, oh, ow});
+  argmax.resize(out.numel());
+  std::size_t oi = 0;
+  for (long n = 0; n < N; ++n) {
+    for (long c = 0; c < C; ++c) {
+      for (long y = 0; y < oh; ++y) {
+        for (long xo = 0; xo < ow; ++xo, ++oi) {
+          std::size_t best_idx = static_cast<std::size_t>(
+              ((n * C + c) * H + y * stride) * W + xo * stride);
+          float best = x[best_idx];
+          for (long ky = 0; ky < kernel; ++ky) {
+            for (long kx = 0; kx < kernel; ++kx) {
+              const long iy = y * stride + ky;
+              const long ix = xo * stride + kx;
+              const std::size_t idx =
+                  static_cast<std::size_t>(((n * C + c) * H + iy) * W + ix);
+              if (x[idx] > best) {
+                best = x[idx];
+                best_idx = idx;
+              }
+            }
+          }
+          out[oi] = best;
+          argmax[oi] = best_idx;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace per_element
+
+// The row-pointer forward against the per-element loop, bitwise, over
+// overlapping, tiling and gapped windows on odd sizes, with ties, all −inf
+// windows and NaNs. The argmax is compared through backward: a random
+// gradient scattered by each argmax.
+TEST(MaxPool, MatchesPerElementLoop) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(41);
+  const std::pair<long, long> windows[] = {{2, 2}, {3, 2}, {2, 1}, {3, 3}};
+  for (const auto& [kernel, stride] : windows) {
+    for (long size : {7L, 9L, 13L}) {
+      SCOPED_TRACE("k" + std::to_string(kernel) + " s" +
+                   std::to_string(stride) + " size " + std::to_string(size));
+      Tensor x = Tensor::randn({2, 3, size, size + 2}, rng);
+      for (std::size_t i = 0; i < x.numel(); ++i) {
+        const std::size_t r = i % 11;
+        if (r == 0) x[i] = std::nanf("");
+        if (r == 3 || r == 4) x[i] = 0.5f;  // ties
+      }
+      for (long y = 0; y < size; ++y)  // channel 1 of sample 1: all −inf
+        for (long xo = 0; xo < size + 2; ++xo) x.at4(1, 1, y, xo) = -kInf;
+
+      Tensor expect;
+      std::vector<std::size_t> argmax;
+      per_element::max_pool(x, kernel, stride, expect, argmax);
+      nn::MaxPool2d pool(kernel, stride);
+      const Tensor& got = pool.forward(x, true);
+      ASSERT_TRUE(got.same_shape(expect));
+      EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                            got.numel() * sizeof(float)),
+                0);
+
+      const Tensor g = Tensor::randn(expect.shape(), rng);
+      Tensor scattered = Tensor::zeros(x.shape());
+      for (std::size_t i = 0; i < argmax.size(); ++i)
+        scattered[argmax[i]] += g[i];
+      const Tensor& gin = pool.backward(g);
+      EXPECT_EQ(std::memcmp(gin.data(), scattered.data(),
+                            gin.numel() * sizeof(float)),
+                0);
+    }
+  }
 }
 
 TEST(GlobalAvgPool, Averages) {

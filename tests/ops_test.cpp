@@ -377,48 +377,100 @@ TEST(ConvKernels, Col2imMatchesPerElementLoop) {
 
 // The layer's packed output, its unpacked gradient (through dW, db and the
 // input gradient) against the same GEMMs over the per-element reference.
-TEST(ConvKernels, Conv2dPackingMatchesPerElementLoop) {
+// The layer's GEMMs gather their B panels from the input; the reference's
+// pack the materialized columns, so this pins the two bitwise.
+void check_conv_against_per_element(const Conv2dGeom& g, long batch,
+                                     Rng& rng) {
   constexpr long kOut = 4;
-  Rng rng(33);
-  for (const Conv2dGeom& g : conv_geometries()) {
-    for (long batch : {1L, 3L}) {
-      SCOPED_TRACE(geom_str(g, batch));
-      nn::Conv2d conv(g.in_channels, kOut, g.kernel, g.stride, g.pad, g.in_h,
-                      g.in_w, rng);
-      const auto params = conv.params();
-      // A nonzero bias, so the row epilogue is exercised too.
-      *params[1].value = Tensor::randn({kOut}, rng);
-      const Tensor& w = *params[0].value;
-      const Tensor& b = *params[1].value;
-      const long oh = g.out_h(), ow = g.out_w();
-      const Tensor x =
-          Tensor::randn({batch, g.in_channels, g.in_h, g.in_w}, rng);
-      const Tensor gy = Tensor::randn({batch, kOut, oh, ow}, rng);
+  SCOPED_TRACE(geom_str(g, batch));
+  nn::Conv2d conv(g.in_channels, kOut, g.kernel, g.stride, g.pad, g.in_h,
+                  g.in_w, rng);
+  const auto params = conv.params();
+  // A nonzero bias, so the row epilogue is exercised too.
+  *params[1].value = Tensor::randn({kOut}, rng);
+  const Tensor& w = *params[0].value;
+  const Tensor& b = *params[1].value;
+  const long oh = g.out_h(), ow = g.out_w();
+  const Tensor x = Tensor::randn({batch, g.in_channels, g.in_h, g.in_w}, rng);
+  const Tensor gy = Tensor::randn({batch, kOut, oh, ow}, rng);
 
-      Tensor cols;
-      per_element::im2col(x, g, cols);
-      const Tensor flat = gemm_fused(w, cols, false, false,
-                                     runtime::Epilogue::kBiasRow, b);
-      EXPECT_TRUE(bitwise_equal(
-          conv.forward(x, true),
-          per_element::pack_output(flat, batch, kOut, oh, ow)));
+  Tensor cols;
+  per_element::im2col(x, g, cols);
+  const Tensor flat =
+      gemm_fused(w, cols, false, false, runtime::Epilogue::kBiasRow, b);
+  EXPECT_TRUE(
+      bitwise_equal(conv.forward(x, true),
+                    per_element::pack_output(flat, batch, kOut, oh, ow)));
 
-      const Tensor gflat = per_element::unpack_grad(gy, kOut, oh, ow);
-      Tensor dw = Tensor::zeros(w.shape());
-      gemm_acc(dw, gflat, cols, false, true);
-      Tensor db = Tensor::zeros({kOut});
-      for (long c = 0; c < kOut; ++c) {
-        double acc = 0.0;
-        for (long j = 0; j < gflat.dim(1); ++j) acc += gflat.at(c, j);
-        db[std::size_t(c)] = static_cast<float>(acc);
-      }
-      Tensor dx;
-      per_element::col2im(gemm(w, gflat, true, false), batch, g, dx);
-      EXPECT_TRUE(bitwise_equal(conv.backward(gy), dx));
-      EXPECT_TRUE(bitwise_equal(*params[0].grad, dw));
-      EXPECT_TRUE(bitwise_equal(*params[1].grad, db));
-    }
+  const Tensor gflat = per_element::unpack_grad(gy, kOut, oh, ow);
+  Tensor dw = Tensor::zeros(w.shape());
+  gemm_acc(dw, gflat, cols, false, true);
+  Tensor db = Tensor::zeros({kOut});
+  for (long c = 0; c < kOut; ++c) {
+    double acc = 0.0;
+    for (long j = 0; j < gflat.dim(1); ++j) acc += gflat.at(c, j);
+    db[std::size_t(c)] = static_cast<float>(acc);
   }
+  Tensor dx;
+  per_element::col2im(gemm(w, gflat, true, false), batch, g, dx);
+  EXPECT_TRUE(bitwise_equal(conv.backward(gy), dx));
+  EXPECT_TRUE(bitwise_equal(*params[0].grad, dw));
+  EXPECT_TRUE(bitwise_equal(*params[1].grad, db));
+}
+
+TEST(ConvKernels, Conv2dPackingMatchesPerElementLoop) {
+  Rng rng(33);
+  for (const Conv2dGeom& g : conv_geometries())
+    for (long batch : {1L, 3L}) check_conv_against_per_element(g, batch, rng);
+  // lenet5's 5×5 geometries (28×28 pad 2, and 14×14) at a training batch:
+  // dW's KC slices and the forward's column panels then start mid-row and
+  // mid-sample.
+  for (const Conv2dGeom& g : conv_geometries())
+    if (g.kernel == 5 && ((g.in_h == 28 && g.pad == 2) || g.in_h == 14))
+      check_conv_against_per_element(g, 50, rng);
+}
+
+// Conv2d gathers its GEMM operands from the input through its own geometry,
+// so an input of another channel count or size must be rejected before the
+// gather would read past it.
+TEST(ConvKernels, ForwardRejectsMismatchedGeometry) {
+  Rng rng(37);
+  nn::Conv2d conv(3, 4, 3, 1, 1, 8, 8, rng);
+  EXPECT_NO_THROW(conv.forward(Tensor::randn({2, 3, 8, 8}, rng), true));
+  for (const Shape& bad : {Shape{2, 4, 8, 8}, Shape{2, 3, 9, 8},
+                           Shape{2, 3, 8, 9}, Shape{2, 3, 8, 7},
+                           Shape{2, 192}})
+    EXPECT_THROW(conv.forward(Tensor::zeros(bad), true), CheckError)
+        << Tensor::zeros(bad).shape_str();
+}
+
+// A lenet5 step over the 600-row evaluation set keeps no column matrix: a
+// parked block of either conv's (C·K·K, N·oh·ow) size is still parked after
+// the forward, and conv1's after the backward too (conv2's input gradient
+// GEMM writes its column-sized gradient matrix, which col2im consumes).
+TEST(ConvKernels, LenetStepHoldsNoColumnMatrix) {
+  if (!alloc_stats::enabled())
+    GTEST_SKIP() << "needs GOLDFISH_ALLOC_STATS";
+  constexpr long kRows = 600;
+  const std::size_t conv1_cols = std::size_t{1 * 5 * 5} * kRows * 28 * 28;
+  const std::size_t conv2_cols = std::size_t{6 * 5 * 5} * kRows * 10 * 10;
+  Rng rng(38);
+  nn::Model model = nn::make_model("lenet5", {1, 28, 28}, 10, rng);
+  const Tensor x = Tensor::randn({kRows, 784}, rng);
+  BufferPoolScope scope;
+  // One parked block per size; a taker that keeps it empties the list.
+  const auto still_parked = [](std::size_t floats) {
+    const std::size_t before = alloc_stats::heap_allocations();
+    Tensor probe = Tensor::uninit({static_cast<long>(floats)});
+    return alloc_stats::heap_allocations() == before;
+  };
+  { Tensor park1 = Tensor::uninit({static_cast<long>(conv1_cols)}); }
+  { Tensor park2 = Tensor::uninit({static_cast<long>(conv2_cols)}); }
+  const Tensor& logits = model.forward(x, true);
+  EXPECT_TRUE(still_parked(conv1_cols));
+  EXPECT_TRUE(still_parked(conv2_cols));
+  model.backward(Tensor::ones(logits.shape()));
+  EXPECT_TRUE(still_parked(conv1_cols));
 }
 
 // Sequential's Conv2d→ReLU peephole (ReLU in the GEMM epilogue, its mask
