@@ -4,10 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
-#include <limits>
-#include <queue>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "metrics/membership_inference.h"
@@ -62,64 +59,6 @@ FlConfig validated(FlConfig cfg, std::size_t num_clients) {
   return cfg;
 }
 
-/// One scenario event reference on the merged timeline. Kind order is the
-/// tie-break at equal times: events mutating *existing* clients (deletions,
-/// leaves, label flips, backdoor injections) apply before joins introduce
-/// new ids, aggregator swaps after that, and audit activations last. The
-/// relative order of the original four kinds is unchanged, so legacy
-/// scenarios replay bit-identically.
-struct TimelineRef {
-  enum Kind {
-    kDeletion = 0,
-    kLeave = 1,
-    kFlip = 2,
-    kBackdoor = 3,
-    kJoin = 4,
-    kSwap = 5,
-    kAudit = 6,
-  };
-  double time = 0.0;
-  int kind = kDeletion;
-  std::size_t index = 0;  // into the scenario vector of that kind
-  /// Run-local slot of the client a data-mutating event (deletion, flip,
-  /// backdoor) targets; filled in by Phase A when it applies the event.
-  std::size_t slot = 0;
-};
-
-/// Merge every scenario event onto one timeline, ordered (time, kind,
-/// declaration index). Shared by Phase A (schedule construction) and the
-/// dataset-epoch materialization, which must replay data mutations in
-/// exactly the order the schedule applied them. Sybil bursts never appear
-/// here — Engine::run expands them into ordinary joins first.
-std::vector<TimelineRef> merged_timeline(const Scenario& s) {
-  std::vector<TimelineRef> timeline;
-  timeline.reserve(s.deletions.size() + s.leaves.size() +
-                   s.label_flips.size() + s.backdoors.size() +
-                   s.joins.size() + s.aggregator_swaps.size() +
-                   s.audits.size());
-  for (std::size_t i = 0; i < s.deletions.size(); ++i)
-    timeline.push_back({s.deletions[i].time, TimelineRef::kDeletion, i});
-  for (std::size_t i = 0; i < s.leaves.size(); ++i)
-    timeline.push_back({s.leaves[i].time, TimelineRef::kLeave, i});
-  for (std::size_t i = 0; i < s.label_flips.size(); ++i)
-    timeline.push_back({s.label_flips[i].time, TimelineRef::kFlip, i});
-  for (std::size_t i = 0; i < s.backdoors.size(); ++i)
-    timeline.push_back({s.backdoors[i].time, TimelineRef::kBackdoor, i});
-  for (std::size_t i = 0; i < s.joins.size(); ++i)
-    timeline.push_back({s.joins[i].time, TimelineRef::kJoin, i});
-  for (std::size_t i = 0; i < s.aggregator_swaps.size(); ++i)
-    timeline.push_back({s.aggregator_swaps[i].time, TimelineRef::kSwap, i});
-  for (std::size_t i = 0; i < s.audits.size(); ++i)
-    timeline.push_back({s.audits[i].time, TimelineRef::kAudit, i});
-  std::sort(timeline.begin(), timeline.end(),
-            [](const TimelineRef& a, const TimelineRef& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.kind != b.kind) return a.kind < b.kind;
-              return a.index < b.index;
-            });
-  return timeline;
-}
-
 /// RNG stream salt for BackdoorInjectEvent row selection (cf. the policy
 /// salts in fl/policies.cpp).
 constexpr std::uint64_t kBackdoorSalt = 0xBADC0DEDB00ULL;
@@ -143,50 +82,6 @@ double wire_reconstruction_error(const std::vector<Tensor>& trained,
 }
 
 }  // namespace
-
-/// Phase A output: the complete event plan, fixed before any training runs.
-/// Its size follows what the run touches — tasks, timeline events and the
-/// clients they name — never the registered population.
-struct Engine::Schedule {
-  /// One planned local-training execution on the virtual timeline.
-  struct Task {
-    std::size_t client = 0;
-    std::size_t slot = 0;   ///< the client's run-local slot
-    long index = 0;         ///< per-client sequence number (RNG stream step)
-    long from_version = 0;  ///< server version the client downloaded
-    int epoch = 0;          ///< which of the client's datasets it trains on
-    double finish = 0.0;
-    long staleness = 0;     ///< server lag when consumed
-    long consumed_by = -1;  ///< aggregation index; -1 = dropped / never used
-  };
-
-  /// One planned buffer aggregation: the task ids it consumes, in arrival
-  /// order (virtual time, client id).
-  struct Agg {
-    double time = 0.0;
-    std::vector<std::size_t> tasks;
-    long dropped_so_far = 0;
-    std::size_t aggregator = 0;  ///< 0 = configured strategy, i+1 = swap i
-    std::size_t audit = 0;       ///< 0 = no audit active, i+1 = audit i
-    std::size_t active_clients = 0;
-  };
-
-  std::vector<Task> tasks;
-  std::vector<Agg> aggs;
-  /// merged_timeline of the planned scenario, each client event carrying
-  /// its target's slot, cached for the epoch replay.
-  std::vector<TimelineRef> timeline;
-  /// Slot → client id: every client the run touched (a task, or a
-  /// deletion / leave / join / flip / backdoor event, or a participation
-  /// refusal), in first-touch order.
-  std::vector<std::size_t> clients;
-  /// Max tasks any one client started: how many (client, round) RNG steps
-  /// the run consumed. Fast clients lap the aggregation count, so advancing
-  /// the round counter by less than this would hand later rounds
-  /// already-used training streams.
-  long rounds_consumed = 0;
-  std::vector<std::size_t> join_order;  ///< scenario.joins indices, id order
-};
 
 Engine::Engine(nn::Model global, std::vector<data::Dataset> client_data,
                data::Dataset server_test, FlConfig cfg)
@@ -361,360 +256,6 @@ void Engine::stacked_score(std::vector<ClientUpdate>& updates, bool with_mse,
   }
 }
 
-// -- scenario validation and Phase A (schedule construction) ---------------
-
-void Engine::validate_scenario(const Scenario& s) const {
-  GOLDFISH_CHECK(s.aggregations >= 0, "negative aggregation count");
-  const std::size_t total = num_clients() + s.joins.size();
-  // Each deletion carries the client's *entire* remaining dataset, split
-  // from the pre-run data (core::make_async_deletion): a second event for
-  // the same client would have been split from that same pre-run data too
-  // and silently resurrect the first event's deleted rows. Issue follow-up
-  // deletions in a later run, where the split sees the shrunk data. Repeats
-  // are found by sorting (client, declaration index) pairs — O(events log
-  // events), whatever the registry size — and the first repeat in
-  // declaration order fails where the event loop reaches it.
-  std::vector<std::pair<std::size_t, std::size_t>> by_client;
-  by_client.reserve(s.deletions.size());
-  for (std::size_t i = 0; i < s.deletions.size(); ++i)
-    by_client.emplace_back(s.deletions[i].client, i);
-  std::sort(by_client.begin(), by_client.end());
-  std::size_t first_repeat = s.deletions.size();
-  for (std::size_t i = 1; i < by_client.size(); ++i)
-    if (by_client[i].first == by_client[i - 1].first)
-      first_repeat = std::min(first_repeat, by_client[i].second);
-  for (std::size_t i = 0; i < s.deletions.size(); ++i) {
-    const DeletionEvent& d = s.deletions[i];
-    GOLDFISH_CHECK(d.client < total, "deletion for unknown client");
-    GOLDFISH_CHECK(!d.new_data.empty(),
-                   "deletion would leave a client without data");
-    GOLDFISH_CHECK(i != first_repeat,
-                   "multiple deletions for one client in a single "
-                   "run; split them across runs");
-  }
-  for (const ClientLeaveEvent& l : s.leaves)
-    GOLDFISH_CHECK(l.client < total, "leave event for unknown client");
-  for (const ClientJoinEvent& j : s.joins)
-    GOLDFISH_CHECK(!j.dataset.empty(), "joining client needs data");
-  for (const AggregatorSwapEvent& ev : s.aggregator_swaps)
-    make_aggregator(ev.aggregator, cfg_.robust);  // throws on unknown name
-  for (const LabelFlipEvent& f : s.label_flips)
-    GOLDFISH_CHECK(f.client < total, "label flip for unknown client");
-  for (const BackdoorInjectEvent& b : s.backdoors) {
-    GOLDFISH_CHECK(b.client < total, "backdoor injection for unknown client");
-    GOLDFISH_CHECK(b.fraction > 0.0f && b.fraction <= 1.0f,
-                   "backdoor fraction must be in (0, 1]");
-  }
-  for (const AuditEvent& a : s.audits) {
-    GOLDFISH_CHECK(!a.probe.empty(), "audit needs a trigger probe set");
-    GOLDFISH_CHECK(a.members.empty() == a.nonmembers.empty(),
-                   "audit member and nonmember sets come together (both "
-                   "empty disables the MIA block)");
-  }
-}
-
-Engine::Schedule Engine::build_schedule(const Scenario& s) {
-  Schedule plan;
-  const std::size_t n0 = num_clients();
-  std::size_t total = n0;  // registered clients, plus joins applied so far
-  if (run_state_.size() < n0 + s.joins.size())
-    run_state_.resize(n0 + s.joins.size());
-
-  // Whatever happens below (a policy or an event check throwing included),
-  // the entries this run touched are back in their default state when
-  // Phase A exits. The guard owns the slot → client list for that reason.
-  struct Reset {
-    std::vector<ClientRun>& state;
-    std::vector<std::size_t> touched;
-    ~Reset() {
-      for (std::size_t c : touched) state[c] = ClientRun{};
-    }
-  } reset{run_state_, {}};
-  // The client's entry, claiming a run-local slot on first touch. Only
-  // writes go through here: an untouched entry reads as the default.
-  const auto touch = [&](std::size_t c) -> ClientRun& {
-    ClientRun& e = run_state_[c];
-    if (e.slot < 0) {
-      e.slot = static_cast<int>(reset.touched.size());
-      reset.touched.push_back(c);
-    }
-    return e;
-  };
-  const auto is_active = [&](std::size_t c) {
-    return !run_state_[c].left && (c >= n0 || active_[c]);
-  };
-  std::size_t active_now = active_count_;
-
-  std::vector<std::size_t> buffer;
-  long server_version = 0;
-  long dropped = 0;
-  std::size_t current_agg = 0;    // aggregator sequence index (0 = configured)
-  std::size_t current_audit = 0;  // active audit, 0 = none
-  double last_time = 0.0;
-
-  ParticipationPolicy& who = *s.participation;
-  BufferPolicy& how_many = *s.buffer;
-  ClockPolicy& clock = *s.clock;
-
-  // Min-heap of completions keyed (finish time, client id, task id); the
-  // client id breaks virtual-time ties deterministically.
-  using Completion = std::tuple<double, std::size_t, std::size_t>;
-  std::priority_queue<Completion, std::vector<Completion>,
-                      std::greater<Completion>>
-      completions;
-  // Participation retry wake-ups, keyed (time, client id).
-  using Wake = std::pair<double, std::size_t>;
-  std::priority_queue<Wake, std::vector<Wake>, std::greater<Wake>> wakes;
-
-  const auto start_task = [&](std::size_t c, double now) {
-    ClientRun& e = touch(c);
-    Schedule::Task tp;
-    tp.client = c;
-    tp.slot = static_cast<std::size_t>(e.slot);
-    tp.index = e.next_index++;
-    tp.from_version = server_version;
-    tp.epoch = e.epoch;
-    const double dur = clock.duration(c, tp.index);
-    GOLDFISH_CHECK(dur > 0.0, "clock policy returned a non-positive duration");
-    tp.finish = now + dur;
-    e.in_flight = true;
-    e.parked = false;
-    completions.emplace(tp.finish, c, plan.tasks.size());
-    plan.tasks.push_back(tp);
-  };
-
-  const auto maybe_start = [&](std::size_t c, double now) {
-    if (!is_active(c) || run_state_[c].in_flight) return;
-    if (who.participates(c, server_version, now)) {
-      start_task(c, now);
-      return;
-    }
-    touch(c).parked = true;
-    const double retry = who.retry_at(c, server_version, now);
-    if (retry > now) wakes.emplace(retry, c);
-  };
-
-  const auto evict_buffered = [&](std::size_t c) {
-    auto evicted =
-        std::remove_if(buffer.begin(), buffer.end(), [&](std::size_t id) {
-          return plan.tasks[id].client == c;
-        });
-    dropped += buffer.end() - evicted;
-    buffer.erase(evicted, buffer.end());
-  };
-
-  // The scenario's events on one timeline, ordered (time, kind, declaration
-  // index): state changes always apply before completions at the same
-  // virtual time.
-  std::vector<TimelineRef> timeline = merged_timeline(s);
-  std::size_t next_event = 0;
-
-  // Applies `ev`, recording a data-mutating event's target slot in it.
-  const auto apply_event = [&](TimelineRef& ev, bool live) {
-    switch (ev.kind) {
-      case TimelineRef::kDeletion: {
-        const DeletionEvent& d = s.deletions[ev.index];
-        GOLDFISH_CHECK(d.client < total,
-                       "deletion targets a client that has not joined yet");
-        ClientRun& e = touch(d.client);
-        ev.slot = static_cast<std::size_t>(e.slot);
-        ++e.epoch;
-        // Evict its buffered updates: they trained on deleted rows.
-        evict_buffered(d.client);
-        // Its in-flight task (if any) is void on arrival.
-        if (e.in_flight) e.poisoned = true;
-        break;
-      }
-      case TimelineRef::kLeave: {
-        const ClientLeaveEvent& l = s.leaves[ev.index];
-        GOLDFISH_CHECK(l.client < total,
-                       "leave targets a client that has not joined yet");
-        if (is_active(l.client)) --active_now;
-        ClientRun& e = touch(l.client);
-        e.left = true;
-        e.parked = false;
-        // The device is gone: its in-flight upload never arrives. Updates
-        // it already buffered on the server stay valid.
-        if (e.in_flight) e.poisoned = true;
-        break;
-      }
-      case TimelineRef::kJoin: {
-        const std::size_t id = total++;
-        ++active_now;
-        touch(id);  // its slot serves the join payload as epoch 0
-        plan.join_order.push_back(ev.index);
-        if (live) maybe_start(id, s.joins[ev.index].time);
-        break;
-      }
-      case TimelineRef::kSwap:
-        current_agg = ev.index + 1;
-        break;
-      case TimelineRef::kFlip: {
-        const LabelFlipEvent& f = s.label_flips[ev.index];
-        GOLDFISH_CHECK(f.client < total,
-                       "label flip targets a client that has not joined yet");
-        // Only tasks started after the event train on the hostile data:
-        // buffered updates and the in-flight task keep their honest epoch.
-        ClientRun& e = touch(f.client);
-        ev.slot = static_cast<std::size_t>(e.slot);
-        ++e.epoch;
-        break;
-      }
-      case TimelineRef::kBackdoor: {
-        const BackdoorInjectEvent& b = s.backdoors[ev.index];
-        GOLDFISH_CHECK(b.client < total,
-                       "backdoor targets a client that has not joined yet");
-        ClientRun& e = touch(b.client);
-        ev.slot = static_cast<std::size_t>(e.slot);
-        ++e.epoch;
-        break;
-      }
-      case TimelineRef::kAudit:
-        current_audit = ev.index + 1;
-        break;
-    }
-  };
-
-  // Buffer size for the first aggregation.
-  long k = std::max(1L, how_many.size(0, 0.0, 0, active_now));
-
-  // Every active client downloads version 0 and starts at t = 0 (subject to
-  // the participation policy). A zero-aggregation horizon plans no tasks at
-  // all, so it consumes no RNG rounds — only the timeline's durable effects
-  // apply. A cohort-enumerating policy visits only version 0's cohort —
-  // scheduling work per version stays O(cohort) even with 10^5+ registered
-  // clients (the population-scale contract, docs/population.md).
-  if (s.aggregations > 0) {
-    if (who.enumerates_cohort())
-      for (std::size_t c : who.cohort(0, n0)) maybe_start(c, 0.0);
-    else
-      for (std::size_t c = 0; c < n0; ++c) maybe_start(c, 0.0);
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  while (static_cast<long>(plan.aggs.size()) < s.aggregations) {
-    const double t_comp =
-        completions.empty() ? kInf : std::get<0>(completions.top());
-    const double t_wake = wakes.empty() ? kInf : wakes.top().first;
-    const bool has_event = next_event < timeline.size();
-    const double t_event = has_event ? timeline[next_event].time : kInf;
-
-    // Timeline events apply before anything else at the same instant.
-    if (has_event && t_event <= t_comp && t_event <= t_wake) {
-      last_time = std::max(last_time, t_event);
-      apply_event(timeline[next_event++], /*live=*/true);
-      continue;
-    }
-    // Stall: nothing in flight and no wake pending. The progress guarantee:
-    // re-admit every idle active client at the current instant, bypassing
-    // the participation policy — an empty sampled cohort must trade
-    // staleness for progress, never deadlock the server.
-    if (t_comp == kInf && t_wake == kInf) {
-      bool any = false;
-      for (std::size_t c = 0; c < total; ++c)
-        if (is_active(c) && !run_state_[c].in_flight) {
-          start_task(c, last_time);
-          any = true;
-        }
-      GOLDFISH_CHECK(any,
-                     "scenario stalled: no active clients remain to fill "
-                     "the aggregation buffer");
-      continue;
-    }
-    // Participation retries run strictly before completions at the same
-    // time: a retried task can only finish later, never at this instant.
-    if (t_wake <= t_comp) {
-      last_time = std::max(last_time, t_wake);
-      while (!wakes.empty() && wakes.top().first == t_wake) {
-        const std::size_t c = wakes.top().second;
-        wakes.pop();
-        if (run_state_[c].parked) maybe_start(c, t_wake);
-      }
-      continue;
-    }
-
-    const double now = t_comp;
-    last_time = std::max(last_time, now);
-    // Same-timestamp completions are buffered as a batch (client-id order)
-    // before any of those clients re-downloads; this is the tie-break that
-    // makes the jitter-free K = n schedule identical to synchronous rounds.
-    std::vector<std::size_t> batch;
-    while (!completions.empty() &&
-           std::get<0>(completions.top()) == now) {
-      batch.push_back(std::get<2>(completions.top()));
-      completions.pop();
-    }
-    bool version_advanced = false;
-    for (std::size_t id : batch) {
-      ClientRun& e = run_state_[plan.tasks[id].client];
-      e.in_flight = false;
-      if (e.poisoned) {
-        e.poisoned = false;
-        ++dropped;
-        continue;
-      }
-      buffer.push_back(id);
-      if (static_cast<long>(buffer.size()) == k) {
-        Schedule::Agg ap;
-        ap.time = now;
-        double staleness_sum = 0.0;
-        long staleness_max = 0;
-        for (std::size_t bid : buffer) {
-          plan.tasks[bid].staleness =
-              server_version - plan.tasks[bid].from_version;
-          plan.tasks[bid].consumed_by = static_cast<long>(plan.aggs.size());
-          staleness_sum += double(plan.tasks[bid].staleness);
-          staleness_max = std::max(staleness_max, plan.tasks[bid].staleness);
-        }
-        const double staleness_mean = staleness_sum / double(buffer.size());
-        ap.tasks = std::move(buffer);
-        buffer.clear();
-        ap.dropped_so_far = dropped;
-        ap.aggregator = current_agg;
-        ap.audit = current_audit;
-        ap.active_clients = active_now;
-        ++server_version;
-        version_advanced = true;
-        plan.aggs.push_back(std::move(ap));
-        if (static_cast<long>(plan.aggs.size()) == s.aggregations) break;
-        // The next aggregation's K, informed by the staleness just observed.
-        k = std::max(1L, how_many.size(static_cast<long>(plan.aggs.size()),
-                                       staleness_mean, staleness_max,
-                                       active_now));
-      }
-    }
-    if (static_cast<long>(plan.aggs.size()) == s.aggregations) break;
-    // Every completed client re-downloads the current model and trains on;
-    // a version bump also re-checks clients the policy had parked. An
-    // enumerating policy pins the new version's cohort first (so the
-    // completed clients' membership probes answer against it) and the
-    // rescan then visits cohort members only — never the whole population.
-    if (version_advanced && who.enumerates_cohort())
-      who.cohort(server_version, total);
-    for (std::size_t id : batch) maybe_start(plan.tasks[id].client, now);
-    if (version_advanced) {
-      if (who.enumerates_cohort()) {
-        for (std::size_t c : who.cohort(server_version, total))
-          maybe_start(c, now);
-      } else {
-        for (std::size_t c = 0; c < total; ++c)
-          if (run_state_[c].parked) maybe_start(c, now);
-      }
-    }
-  }
-  // Events beyond the run's horizon still take durable effect before the
-  // run returns (there is no later virtual time to wait for).
-  while (next_event < timeline.size())
-    apply_event(timeline[next_event++], /*live=*/false);
-
-  for (std::size_t c : reset.touched)
-    plan.rounds_consumed =
-        std::max(plan.rounds_consumed, run_state_[c].next_index);
-  plan.clients = reset.touched;
-  plan.timeline = std::move(timeline);
-  return plan;
-}
-
 /// Every dataset version each touched client trains on during the run, in
 /// epoch order, by run-local slot (Schedule::Task::epoch indexes
 /// epochs[task.slot]). Deletion payloads and join payloads are borrowed
@@ -801,7 +342,9 @@ Engine::EpochTable Engine::materialize_epochs(const Scenario& s,
 // -- Phase B (plan execution) ----------------------------------------------
 
 void Engine::execute(const Scenario& scenario, const Schedule& plan,
-                     const EpochTable& epochs, const StepSink& sink,
+                     const EpochTable& epochs,
+                     const std::vector<std::unique_ptr<Aggregator>>& aggregators,
+                     const StepSink& sink,
                      std::vector<std::size_t>& wire_bytes) {
   const long aggregations = static_cast<long>(plan.aggs.size());
 
@@ -810,24 +353,6 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
   // remainders and flipped/poisoned versions.
   const std::vector<std::vector<const data::Dataset*>>& epoch_data =
       epochs.epochs;
-
-  // The run's aggregator sequence: index 0 is the configured strategy, each
-  // swap event appends its own, and the scenario's staleness discounting
-  // wraps every entry uniformly.
-  const double alpha = scenario.staleness_alpha < 0.0
-                           ? cfg_.async.staleness_alpha
-                           : scenario.staleness_alpha;
-  const auto wrapped =
-      [&](const std::string& name) -> std::unique_ptr<Aggregator> {
-    std::unique_ptr<Aggregator> base = make_aggregator(name, cfg_.robust);
-    if (alpha > 0.0)
-      return std::make_unique<StalenessAggregator>(std::move(base), alpha);
-    return base;
-  };
-  std::vector<std::unique_ptr<Aggregator>> aggregators;
-  aggregators.push_back(wrapped(cfg_.aggregator));
-  for (const AggregatorSwapEvent& ev : scenario.aggregator_swaps)
-    aggregators.push_back(wrapped(ev.aggregator));
 
   // Group the *consumed* tasks by the server version they download;
   // everything else (evicted or past the horizon) never executes.
@@ -1012,7 +537,24 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
   }
   scenario.sybil_joins.clear();
 
-  validate_scenario(scenario);
+  // The run's aggregators: the configured strategy, then one per swap (an
+  // unknown name throws here, before planning), each wrapped in the
+  // scenario's staleness discounting.
+  const double alpha = scenario.staleness_alpha < 0.0
+                           ? cfg_.async.staleness_alpha
+                           : scenario.staleness_alpha;
+  const auto wrapped =
+      [&](const std::string& name) -> std::unique_ptr<Aggregator> {
+    std::unique_ptr<Aggregator> base = make_aggregator(name, cfg_.robust);
+    if (alpha > 0.0)
+      return std::make_unique<StalenessAggregator>(std::move(base), alpha);
+    return base;
+  };
+  std::vector<std::unique_ptr<Aggregator>> aggregators;
+  aggregators.push_back(wrapped(cfg_.aggregator));
+  for (const AggregatorSwapEvent& ev : scenario.aggregator_swaps)
+    aggregators.push_back(wrapped(ev.aggregator));
+
   // Null policies mean "the legacy behaviour derived from FlConfig".
   if (!scenario.participation)
     scenario.participation = std::make_unique<FullParticipation>();
@@ -1029,7 +571,8 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
   scenario.clock->set_upload_bytes(
       scenario.wire->encoded_bytes(replica_template_.snapshot()));
 
-  const Schedule plan = build_schedule(scenario);
+  const Schedule plan =
+      plan_schedule(scenario, active_, active_count_, run_state_);
   // However the run ends from here — committed, or aborted by a throwing
   // task or epoch derivation — every materialized cohort slot is returned:
   // a cold store's steady-state resident memory goes back to zero.
@@ -1039,7 +582,7 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
   } release{pop_.clients};
   EpochTable epochs = materialize_epochs(scenario, plan);
   std::vector<std::size_t> wire_bytes;
-  execute(scenario, plan, epochs, sink, wire_bytes);
+  execute(scenario, plan, epochs, aggregators, sink, wire_bytes);
 
   // Commit the run's durable effects. Subsequent runs (and their RNG
   // streams) continue after every stream this run touched — fast clients

@@ -4,15 +4,13 @@
 // aggregator swaps — parameterized by small policy objects (fl/policies.h)
 // and driven by a typed Scenario event timeline.
 //
-// Execution is split in two phases. Phase A builds the complete event
-// schedule on a virtual clock (which tasks run, which aggregation consumes
-// each update, every staleness value, every eviction) *before any training
-// runs*: durations and policies depend only on seeded RNG streams, never on
-// training results. Phase B then executes the plan, respecting only its
-// data dependencies — a task training from server version v is submitted
-// once version v is published, and the aggregation loop drains futures in
-// the planned (virtual time, client id) order. Results are therefore
-// bit-identical at any thread count.
+// Execution is split in two phases. Phase A (fl::plan_schedule in
+// fl/schedule.h) plans every task, aggregation, staleness value and
+// eviction on a virtual clock before any training runs. Phase B executes
+// the plan, respecting only its data dependencies — a task training from
+// server version v is submitted once version v is published, and the
+// aggregation loop drains futures in the planned (virtual time, client id)
+// order. Results are therefore bit-identical at any thread count.
 //
 // The steady state is allocation-free: client models come from a pooled
 // replica set (broadcast is an in-place load over pooled storage), layers
@@ -21,11 +19,6 @@
 // BufferPoolScope held for the engine's lifetime. Each client task
 // provisions the buffer sizes it is first to need for every executor, so a
 // run that reaches a deeper concurrency than the warm-up still finds them.
-//
-// The two canned bundles cover the classic regimes: sync_scenario(n) runs n
-// synchronous rounds (buffered aggregation with K = all clients) and
-// async_scenario(n, deletions) runs n FedBuff-style buffer aggregations.
-// Both are bit-identical to the historical hardcoded loops.
 #pragma once
 
 #include <atomic>
@@ -35,10 +28,10 @@
 #include <string>
 #include <vector>
 
-#include "data/backdoor.h"
 #include "fl/aggregation.h"
 #include "fl/policies.h"
 #include "fl/population/population.h"
+#include "fl/schedule.h"
 #include "fl/trainer.h"
 #include "metrics/evaluation.h"
 #include "runtime/scheduler.h"
@@ -84,141 +77,6 @@ struct FlConfig {
   std::uint64_t seed = 7;
   /// Buffered-asynchronous mode parameters (defaults for async scenarios).
   AsyncFlConfig async;
-};
-
-// -- scenario timeline events ----------------------------------------------
-//
-// Events are merged onto the virtual timeline and applied in (time, kind,
-// declaration index) order, always *before* any task completion at the same
-// or a later time.
-
-/// An unlearning request arriving mid-run: at `time`, the client's local
-/// data is replaced by `new_data` (its remaining rows D_r), any of its
-/// updates still sitting in the server's buffer are evicted, and its
-/// in-flight task is voided on completion — both were trained on data that
-/// now includes deleted rows, and must never reach an aggregation. Updates
-/// aggregated *before* `time` are history; undoing their influence is the
-/// unlearner's job (core/unlearner.h builds these events).
-struct DeletionEvent {
-  double time = 0.0;
-  std::size_t client = 0;
-  data::Dataset new_data;
-};
-
-/// A new client joining the federation at `time` with its local dataset.
-/// It is assigned the next free client id (ids are dense and stable) and
-/// starts training immediately, subject to the participation policy. Joins
-/// are durable: after the run the engine's federation includes the client.
-struct ClientJoinEvent {
-  double time = 0.0;
-  data::Dataset dataset;
-};
-
-/// A client leaving the federation at `time`: it never starts another task
-/// and its in-flight task (if any) is voided on completion — the device is
-/// gone, the upload never arrives. Updates it already uploaded to the
-/// server's buffer remain valid and aggregate normally. Leaves are durable:
-/// the client stays registered (its data is kept) but inactive.
-struct ClientLeaveEvent {
-  double time = 0.0;
-  std::size_t client = 0;
-};
-
-/// Swap the server's aggregation strategy at `time`: every aggregation at
-/// or after `time` uses the named strategy (any name make_aggregator
-/// accepts, robust families included — the knobs come from FlConfig's
-/// RobustConfig), wrapped in the scenario's staleness discounting like the
-/// base strategy. Scenario-scoped: the engine's configured aggregator is
-/// restored for the next run.
-struct AggregatorSwapEvent {
-  double time = 0.0;
-  std::string aggregator;
-};
-
-// -- adversarial events (docs/threat-model.md) -----------------------------
-
-/// A client turns hostile at `time`: its local dataset's labels are flipped
-/// in place (y → num_classes−1−y) for every task it *starts* after the
-/// event. Updates already buffered and the in-flight task trained on the
-/// honest data and stay valid — the device poisons what it trains next, it
-/// cannot rewrite uploads the server already holds. Durable: the flipped
-/// dataset is the client's data after the run.
-struct LabelFlipEvent {
-  double time = 0.0;
-  std::size_t client = 0;
-};
-
-/// A client starts backdooring at `time`: `fraction` of its current dataset
-/// is trigger-stamped and relabeled to the spec's target via
-/// data::poison_dataset (row choice drawn from a seeded per-event RNG
-/// stream — deterministic at any thread count). Same epoch semantics as
-/// LabelFlipEvent: only tasks started after the event train poisoned.
-struct BackdoorInjectEvent {
-  double time = 0.0;
-  std::size_t client = 0;
-  data::BackdoorSpec spec;
-  /// Fraction of the client's rows to poison, in (0, 1].
-  float fraction = 0.5f;
-};
-
-/// A sybil burst: `count` colluding clients join at `time`, every one
-/// training on its own copy of the shared `dataset` (typically poisoned).
-/// Sugar over ClientJoinEvent — the engine expands the burst into `count`
-/// ordinary joins (after all declared joins at the same instant), so ids
-/// are dense, joins stay durable, and DeletionEvent / ClientLeaveEvent can
-/// target each sybil individually for the cleanup phase.
-struct SybilJoinEvent {
-  double time = 0.0;
-  std::size_t count = 0;
-  data::Dataset dataset;
-};
-
-/// Switch on per-step auditing at `time`: every aggregation at or after it
-/// measures the freshly aggregated global model against this event's probe
-/// sets and records the result in its StepResult — attack_success_rate on
-/// `probe` (a trigger set from data::make_trigger_probe), and, when
-/// `members` is non-empty, the membership-inference attack over
-/// (members = rows the attacker may have trained on, nonmembers = held-out
-/// rows). A later AuditEvent replaces the probe sets from its time on.
-struct AuditEvent {
-  double time = 0.0;
-  data::Dataset probe;
-  data::Dataset members;     ///< optional; empty disables the MIA block
-  data::Dataset nonmembers;  ///< required iff members is non-empty
-};
-
-/// A complete execution scenario: the horizon, the four policies (null →
-/// the legacy defaults derived from FlConfig), and the event timeline.
-/// Move-only; consumed by Engine::run (stateful policies such as
-/// AdaptiveBuffer are single-use by design).
-struct Scenario {
-  /// Number of buffer aggregations to run (the horizon).
-  long aggregations = 0;
-  std::unique_ptr<ParticipationPolicy> participation;  ///< null → full
-  std::unique_ptr<BufferPolicy> buffer;  ///< null → FixedBuffer(cfg.async)
-  std::unique_ptr<ClockPolicy> clock;    ///< null → VirtualClock(cfg.async)
-  /// How uploads travel: each client task encodes its trained parameters to
-  /// actual bytes and the server decodes them before aggregation, so
-  /// StepResult byte counts are real and lossy wires genuinely perturb the
-  /// aggregate. Null → DenseWire (byte-true GFT1, bit-identical to the
-  /// pre-WirePolicy engine). The engine announces the encoded upload size
-  /// to the clock policy (ClockPolicy::set_upload_bytes) before Phase A.
-  std::unique_ptr<WirePolicy> wire;
-  std::vector<DeletionEvent> deletions;
-  std::vector<ClientJoinEvent> joins;
-  std::vector<ClientLeaveEvent> leaves;
-  std::vector<AggregatorSwapEvent> aggregator_swaps;
-  std::vector<LabelFlipEvent> label_flips;
-  std::vector<BackdoorInjectEvent> backdoors;
-  std::vector<SybilJoinEvent> sybil_joins;
-  std::vector<AuditEvent> audits;
-  /// Staleness decay exponent for this run; negative → cfg.async value.
-  double staleness_alpha = -1.0;
-  /// Report per-client local accuracy for every aggregation (the
-  /// synchronous round's telemetry): each consumed update is scored on the
-  /// server test set as decoded from the wire. Costs one forward per update,
-  /// or nothing extra when the aggregator already scores it for MSE.
-  bool local_accuracy = false;
 };
 
 /// Per-aggregation telemetry, emitted through the Engine's sink. A
@@ -360,7 +218,6 @@ class Engine {
   void set_client_data(std::size_t c, data::Dataset ds);
 
  private:
-  struct Schedule;
   struct EpochTable;
 
   /// RAII lease of a pooled model replica: pops a free replica (cloning the
@@ -381,41 +238,21 @@ class Engine {
     std::unique_ptr<nn::Model> model_;
   };
 
-  /// Phase A's per-client builder state. One entry per registered client
-  /// (plus room for the run's joins) lives in run_state_ across runs, so a
-  /// run allocates nothing per registered client; every entry is in its
-  /// default state between runs, and Phase A resets exactly the entries it
-  /// touched, also when it throws.
-  struct ClientRun {
-    long next_index = 0;  ///< tasks started this run (RNG stream step)
-    int slot = -1;        ///< run-local slot, -1 = untouched this run
-    int epoch = 0;        ///< dataset version the next task trains on
-    bool in_flight = false;
-    /// The in-flight task must never reach the buffer: its data had rows
-    /// deleted, or the client left before the upload.
-    bool poisoned = false;
-    bool parked = false;  ///< refused by the participation policy
-    bool left = false;    ///< a ClientLeaveEvent applied this run
-  };
-
-  void validate_scenario(const Scenario& s) const;
-  /// Phase A. Its cost is O(clients it touches + timeline events), plus
-  /// the scans that are a policy's semantics (FullParticipation's start and
-  /// parked loops, the stall re-admit).
-  Schedule build_schedule(const Scenario& s);
   /// Replay the data-mutating events (deletions, label flips, backdoor
   /// injections) in merged timeline order, materializing every dataset
   /// version each touched client trains on during the run. O(touched
   /// clients + events): the table is indexed by run-local slot.
   EpochTable materialize_epochs(const Scenario& s, const Schedule& plan);
-  /// Phase B. Leaves in `wire_bytes` each task's upload size. Each
+  /// Phase B, aggregating step a with aggregators[plan.aggs[a].aggregator].
+  /// Leaves in `wire_bytes` each task's upload size. Each
   /// broadcast version's parameters are freed once the last task that
   /// downloads them is done with them (after its wire round-trip when the
   /// wire needs a reference). A failed task aborts the run: the other tasks
   /// are waited out and the error rethrown — nothing is committed.
   void execute(const Scenario& scenario, const Schedule& plan,
-               const EpochTable& epochs, const StepSink& sink,
-               std::vector<std::size_t>& wire_bytes);
+               const EpochTable& epochs,
+               const std::vector<std::unique_ptr<Aggregator>>& aggregators,
+               const StepSink& sink, std::vector<std::size_t>& wire_bytes);
 
   /// True when the global model is a two-layer MLP (the `mlp<h>` family),
   /// whose per-client evaluation can be stacked into one wide GEMM.
@@ -450,7 +287,7 @@ class Engine {
   population::Population pop_;
   std::vector<bool> active_;  ///< false once a ClientLeaveEvent committed
   std::size_t active_count_ = 0;  ///< trues in active_, kept on commit
-  std::vector<ClientRun> run_state_;  ///< by client id; see ClientRun
+  std::vector<ClientRun> run_state_;  ///< Phase A's, by client id
   data::Dataset test_;
   FlConfig cfg_;
   std::unique_ptr<runtime::Scheduler> owned_sched_;  // only when cfg.threads

@@ -343,6 +343,8 @@ class ImageB {
 // vector accumulator block pins both the width and the register residency.
 #if defined(__AVX__) || defined(__AVX512F__)
 
+#include <immintrin.h>
+
 #if defined(__AVX512F__)
 typedef float vecf __attribute__((vector_size(64), aligned(4)));
 #else
@@ -350,6 +352,34 @@ typedef float vecf __attribute__((vector_size(32), aligned(4)));
 #endif
 constexpr long VL = static_cast<long>(sizeof(vecf) / sizeof(float));
 static_assert(NR == 2 * VL, "microkernel assumes two vectors per row");
+
+// Lanes [0, n) of one vector (n clamped to [0, VL]), and loads and stores
+// that touch only those lanes: masked-off lanes read as 0 and never fault.
+#if defined(__AVX512F__)
+using LaneMask = __mmask16;
+inline LaneMask lanes_below(long n) {
+  return static_cast<LaneMask>((1u << std::clamp(n, 0L, VL)) - 1u);
+}
+inline vecf load_lanes(const float* p, LaneMask m) {
+  return _mm512_maskz_loadu_ps(m, p);
+}
+inline void store_lanes(float* p, LaneMask m, vecf v) {
+  _mm512_mask_storeu_ps(p, m, v);
+}
+#else
+using LaneMask = __m256i;
+inline LaneMask lanes_below(long n) {
+  const __m256 lane = _mm256_setr_ps(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_castps_si256(
+      _mm256_cmp_ps(lane, _mm256_set1_ps(float(n)), _CMP_LT_OQ));
+}
+inline vecf load_lanes(const float* p, LaneMask m) {
+  return _mm256_maskload_ps(p, m);
+}
+inline void store_lanes(float* p, LaneMask m, vecf v) {
+  _mm256_maskstore_ps(p, m, v);
+}
+#endif
 
 void micro_kernel(long kc, const float* Ap, const float* Bp, float* C,
                   long ldc, long mr, long nr, const Writeback& wb) {
@@ -364,24 +394,29 @@ void micro_kernel(long kc, const float* Ap, const float* Bp, float* C,
       acc1[i] += a[i] * b1;
     }
   }
-  if (nr == NR) {
-    // Full-width rows, the mr < MR rows of a last row panel included (conv
-    // layers with fewer output channels than MR land here on every tile).
-    // The constant bound keeps the unrolled accumulators in registers.
+  // One vector writeback for every tile, instantiated twice: full-width
+  // rows (the mr < MR rows of a last row panel included: conv layers with
+  // fewer output channels than MR land here on every tile) load and store
+  // whole vectors; a partial-width tile (nr < NR) loads and stores only its
+  // nr valid lanes of C and of the column bias (masked lanes load as 0 and
+  // are never stored). Every landed value takes the same adds and ReLU, so
+  // it is bitwise the one a scalar loop gives. The constant row bound keeps
+  // the unrolled accumulators in registers.
+  const auto land = [&](auto load, auto store) {
     const vecf vzero = {};
     vecf bc0 = {}, bc1 = {};
     if (wb.bias_col) {
-      bc0 = *reinterpret_cast<const vecf*>(wb.bias_col);
-      bc1 = *reinterpret_cast<const vecf*>(wb.bias_col + VL);
+      bc0 = load(wb.bias_col, 0);
+      bc1 = load(wb.bias_col + VL, 1);
     }
     for (long i = 0; i < MR; ++i) {
       if (i == mr) break;
-      vecf* c = reinterpret_cast<vecf*>(C + i * ldc);
+      float* c = C + i * ldc;
       vecf r0 = acc0[i];
       vecf r1 = acc1[i];
       if (!wb.overwrite) {
-        r0 += c[0];
-        r1 += c[1];
+        r0 += load(c, 0);
+        r1 += load(c + VL, 1);
       }
       if (wb.bias_col) {
         r0 += bc0;
@@ -395,28 +430,17 @@ void micro_kernel(long kc, const float* Ap, const float* Bp, float* C,
         r0 = r0 > vzero ? r0 : vzero;
         r1 = r1 > vzero ? r1 : vzero;
       }
-      c[0] = r0;
-      c[1] = r1;
+      store(c, 0, r0);
+      store(c + VL, 1, r1);
     }
+  };
+  if (nr == NR) {
+    land([](const float* p, int) { return *reinterpret_cast<const vecf*>(p); },
+         [](float* p, int, vecf v) { *reinterpret_cast<vecf*>(p) = v; });
   } else {
-    // Partial-width tile: one valid row at a time through a local copy of
-    // its accumulators. The constant row bound keeps the accumulators in
-    // registers instead of addressing them by a variable row index.
-    for (long i = 0; i < MR; ++i) {
-      if (i == mr) break;
-      float row[NR];
-      std::memcpy(row, &acc0[i], sizeof(vecf));
-      std::memcpy(row + VL, &acc1[i], sizeof(vecf));
-      float* c = C + i * ldc;
-      for (long j = 0; j < nr; ++j) {
-        float v = row[j];
-        if (!wb.overwrite) v += c[j];
-        if (wb.bias_col) v += wb.bias_col[j];
-        if (wb.bias_row) v += wb.bias_row[i];
-        if (wb.relu) v = v > 0.0f ? v : 0.0f;
-        c[j] = v;
-      }
-    }
+    const LaneMask mask[2] = {lanes_below(nr), lanes_below(nr - VL)};
+    land([&](const float* p, int h) { return load_lanes(p, mask[h]); },
+         [&](float* p, int h, vecf v) { store_lanes(p, mask[h], v); });
   }
 }
 

@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/unlearner.h"
@@ -651,6 +653,118 @@ TEST(ScenarioTimeline, RejectsMalformedEvents) {
   {
     fl::Scenario s = eng.async_scenario(-1);
     EXPECT_THROW(eng.collect(std::move(s)), CheckError);
+  }
+}
+
+TEST(ScenarioTimeline, EachRejectedEventKindThrowsAndLeavesEngineFresh) {
+  // One scenario per way an event can be malformed. Each run must throw a
+  // CheckError naming the fault, and leave the engine as a fresh one: no
+  // client added or removed, no RNG round consumed.
+  Fed fed = make_fed(2, 100, 30, 354);
+  const data::Dataset rows = fed.parts[0].subset({0, 1, 2});
+  fl::BackdoorInjectEvent backdoor;
+  backdoor.time = 0.5;
+  backdoor.fraction = 0.5f;
+  fl::AuditEvent audit;
+  audit.time = 0.5;
+  audit.probe = rows;
+  struct Case {
+    const char* name;
+    std::function<void(fl::Scenario&)> edit;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"negative horizon", [&](fl::Scenario& s) { s.aggregations = -1; },
+       "negative aggregation count"},
+      {"deletion, unknown client",
+       [&](fl::Scenario& s) { s.deletions.push_back({0.5, 7, rows}); },
+       "deletion for unknown client"},
+      {"leave, unknown client",
+       [&](fl::Scenario& s) { s.leaves.push_back({0.5, 7}); },
+       "leave event for unknown client"},
+      {"flip, unknown client",
+       [&](fl::Scenario& s) { s.label_flips.push_back({0.5, 7}); },
+       "label flip for unknown client"},
+      {"backdoor, unknown client",
+       [&](fl::Scenario& s) {
+         s.backdoors.push_back(backdoor);
+         s.backdoors.back().client = 7;
+       },
+       "backdoor injection for unknown client"},
+      {"target not joined yet",
+       [&](fl::Scenario& s) {
+         s.joins.push_back({2.0, rows});
+         s.deletions.push_back({1.0, 2, rows});
+       },
+       "has not joined yet"},
+      {"repeated deletion",
+       [&](fl::Scenario& s) {
+         s.deletions.push_back({0.5, 1, rows});
+         s.deletions.push_back({0.75, 1, rows});
+       },
+       "multiple deletions for one client"},
+      {"empty deletion payload",
+       [&](fl::Scenario& s) {
+         s.deletions.push_back({0.5, 0, data::Dataset{}});
+       },
+       "deletion would leave a client without data"},
+      {"empty join payload",
+       [&](fl::Scenario& s) { s.joins.push_back({0.5, data::Dataset{}}); },
+       "joining client needs data"},
+      {"backdoor fraction 0",
+       [&](fl::Scenario& s) {
+         s.backdoors.push_back(backdoor);
+         s.backdoors.back().fraction = 0.0f;
+       },
+       "backdoor fraction must be in (0, 1]"},
+      {"backdoor fraction above 1",
+       [&](fl::Scenario& s) {
+         s.backdoors.push_back(backdoor);
+         s.backdoors.back().fraction = 1.5f;
+       },
+       "backdoor fraction must be in (0, 1]"},
+      {"empty audit probe",
+       [&](fl::Scenario& s) {
+         s.audits.push_back(audit);
+         s.audits.back().probe = data::Dataset{};
+       },
+       "audit needs a trigger probe set"},
+      {"members without nonmembers",
+       [&](fl::Scenario& s) {
+         s.audits.push_back(audit);
+         s.audits.back().members = rows;
+       },
+       "audit member and nonmember sets come together"},
+      {"unknown swap name",
+       [&](fl::Scenario& s) {
+         s.aggregator_swaps.push_back({0.5, "geometric-median"});
+       },
+       "unknown aggregator: geometric-median"},
+      {"sybil burst of 0",
+       [&](fl::Scenario& s) {
+         fl::SybilJoinEvent ev;
+         ev.time = 0.5;
+         ev.dataset = rows;
+         s.sybil_joins.push_back(std::move(ev));
+       },
+       "sybil burst needs count >= 1"},
+  };
+  fl::Engine eng(fed.global, fed.parts, fed.test, fast_cfg());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    fl::Scenario s = eng.async_scenario(2);
+    c.edit(s);
+    try {
+      eng.collect(std::move(s));
+      ADD_FAILURE() << "no exception";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(eng.running());
+    EXPECT_EQ(eng.num_clients(), 2u);
+    EXPECT_EQ(eng.active_clients(), 2u);
+    EXPECT_EQ(eng.rounds_completed(), 0);
   }
 }
 
