@@ -137,8 +137,9 @@ BENCHMARK(BM_ConvBackward);
 // lenet5's conv2 (6×14×14 → 16×10×10, k5) at batch 50: one forward plus the
 // full backward, so the three GEMMs (forward and dW gathering their column
 // panels straight from the input, no im2col), output packing, gradient
-// unpacking and col2im all run. Items are the GEMM FLOPs (forward, dW and
-// the column gradient: 3 · 2·outC·patch·N·oh·ow); the CI ratchet floors it.
+// unpacking and the per-sample input-gradient GEMMs with their scatter all
+// run. Items are the GEMM FLOPs (forward, dW and the input gradient:
+// 3 · 2·outC·patch·N·oh·ow); the CI ratchet floors it.
 void BM_Conv2dLenetStep(benchmark::State& state) {
   constexpr long kBatch = 50, kOut = 16;
   Rng rng(12);

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
+
+#include "runtime/scheduler.h"
 
 namespace goldfish::nn {
 
@@ -104,22 +107,58 @@ const Tensor& Conv2d::accumulate_grads(const Tensor& grad_output) {
   runtime::sgemm(false, true, out_channels_, g.data(), cols, columns(),
                  grad_weight_.data(), grad_weight_.dim(1), /*beta=*/1.0f,
                  runtime::Epilogue::kNone, nullptr);
-  for (long c = 0; c < out_channels_; ++c) {
-    const float* row = g.data() + c * cols;
-    double acc = 0.0;
-    for (long j = 0; j < cols; ++j) acc += row[j];
-    grad_bias_[std::size_t(c)] += static_cast<float>(acc);
+  // db: one double chain per channel, each in column order. The chains of
+  // kLanes channels advance together so their add latencies overlap; a
+  // short last group repeats its last row in the spare lanes and drops
+  // their sums.
+  constexpr long kLanes = 8;
+  for (long c0 = 0; c0 < out_channels_; c0 += kLanes) {
+    const long lanes = std::min(kLanes, out_channels_ - c0);
+    const float* rows[kLanes];
+    for (long l = 0; l < kLanes; ++l)
+      rows[l] = g.data() + (c0 + std::min(l, lanes - 1)) * cols;
+    double acc[kLanes] = {};
+    for (long j = 0; j < cols; ++j)
+      for (long l = 0; l < kLanes; ++l) acc[l] += rows[l][j];
+    for (long l = 0; l < lanes; ++l)
+      grad_bias_[std::size_t(c0 + l)] += static_cast<float>(acc[l]);
   }
   return g;
 }
 
+namespace {
+
+/// The calling thread's scratch for one sample's input-gradient tile. It
+/// only grows, so steady-state steps never allocate. A thread waiting on
+/// the tile's own GEMM runs only that GEMM's chunks, so no other sample's
+/// tile can land in the buffer while it is in use.
+float* tile_scratch(std::size_t floats) {
+  thread_local std::vector<float> tile;
+  if (tile.size() < floats) tile.resize(floats);
+  return tile.data();
+}
+
+}  // namespace
+
 const Tensor& Conv2d::backward(const Tensor& grad_output) {
-  const Tensor& g = accumulate_grads(grad_output);
-  const long cols = g.dim(1);
-  Tensor& grad_cols = slot(3, {geom_.patch_size(), cols});
-  gemm_into(grad_cols, weight_, g, true, false);  // (patch, N·oh·ow)
-  Tensor& gin = slot(4, cached_input_.shape());
-  col2im_into(grad_cols, cached_input_.dim(0), geom_, gin);
+  const Tensor& g = accumulate_grads(grad_output);  // (outC, N·oh·ow)
+  const long patch = geom_.patch_size();
+  const long block = geom_.out_h() * geom_.out_w();
+  const long sample = geom_.in_channels * geom_.in_h * geom_.in_w;
+  Tensor& gin = slot(3, cached_input_.shape());
+  // dX per sample: its (patch, oh·ow) tile of Wᵀ·g, scattered into its
+  // image while the tile is in cache. Each tile element is the same sum
+  // over outC the whole-batch product forms, and the scatter keeps col2im's
+  // order, so dX is bitwise col2im(Wᵀ·g) without the column-sized matrix.
+  parallel_for(cached_input_.dim(0), [&](long n_lo, long n_hi) {
+    float* tile = tile_scratch(static_cast<std::size_t>(patch * block));
+    for (long n = n_lo; n < n_hi; ++n) {
+      runtime::sgemm(true, false, patch, block, out_channels_, weight_.data(),
+                     patch, g.data() + n * block, g.dim(1), tile, block,
+                     /*beta=*/0.0f, runtime::Epilogue::kNone, nullptr);
+      col2im_sample(tile, block, geom_, gin.data() + n * sample);
+    }
+  }, /*grain=*/1);
   return gin;
 }
 

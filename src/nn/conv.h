@@ -10,10 +10,12 @@ namespace goldfish::nn {
 /// (out_channels, in_channels·K·K) so forward is a single matmul against the
 /// input's column matrix, and dW one against its transpose; sgemm gathers
 /// both straight from the cached NCHW input (runtime::ImageColumns), so the
-/// column matrix is never stored. A fused ReLU (Sequential's Conv2d→ReLU
-/// peephole) rides the GEMM writeback, and backward applies its mask while
-/// unpacking the incoming gradient, reading the packed output slot — no
-/// extra slot.
+/// column matrix is never stored. The input gradient Wᵀ·g is formed one
+/// sample at a time into a per-thread tile that col2im_sample scatters at
+/// once, so no column-sized gradient is stored either. A fused ReLU
+/// (Sequential's Conv2d→ReLU peephole) rides the GEMM writeback, and
+/// backward applies its mask while unpacking the incoming gradient, reading
+/// the packed output slot — no extra slot.
 class Conv2d final : public ReluFusableLayer {
  public:
   Conv2d(long in_channels, long out_channels, long kernel, long stride,
@@ -29,8 +31,8 @@ class Conv2d final : public ReluFusableLayer {
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
-  // flat product, packed output, unpacked grad, grad_cols, input grad
-  std::size_t local_slots() const override { return 5; }
+  // flat product, packed output, unpacked grad, input grad
+  std::size_t local_slots() const override { return 4; }
 
   long out_channels() const { return out_channels_; }
   long out_h() const { return geom_.out_h(); }

@@ -6,6 +6,8 @@
 namespace goldfish::nn {
 
 /// Max pooling with square windows; caches argmax indices for backward.
+/// Both passes run in parallel over the (n, c) planes, each plane in the
+/// serial order, so results do not depend on the thread count.
 class MaxPool2d final : public Layer {
  public:
   MaxPool2d(long kernel, long stride);

@@ -30,14 +30,15 @@ void Sgd::step(Model& model) {
     Tensor& v = velocity_[i];
     float* vd = v.data();
     float* wd = p.value->data();
-    const float* gd = p.grad->data();
+    float* gd = p.grad->data();
+    // The gradient is zeroed as it is consumed, not in a pass of its own.
     for (std::size_t j = 0; j < v.numel(); ++j) {
       float g = gd[j] * scale;
+      gd[j] = 0.0f;
       if (opts_.weight_decay > 0.0f) g += opts_.weight_decay * wd[j];
       vd[j] = opts_.momentum * vd[j] + g;
       wd[j] -= opts_.lr * vd[j];
     }
-    p.grad->zero();
   }
 }
 

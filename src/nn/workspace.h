@@ -14,7 +14,8 @@
 //    forward wrote (ReLU masks, batch-norm x̂).
 //  * acquire with a different shape resizes the slot and leaves its contents
 //    undefined, exactly like Tensor::uninit; callers must fully overwrite
-//    (or explicitly zero, for scatter-add outputs like col2im).
+//    (or explicitly zero, for scatter-add outputs like col2im_sample and
+//    max-pool backward).
 //  * Slots are owned by the workspace; layers hand out `const Tensor&` views
 //    of them from forward/backward. A slot stays valid until the same layer
 //    runs the same pass again, which is exactly the lifetime the layer

@@ -262,48 +262,51 @@ Tensor im2col(const Tensor& input, const Conv2dGeom& g) {
   return cols;
 }
 
-void col2im_into(const Tensor& cols, long batch, const Conv2dGeom& g,
-                 Tensor& img) {
-  GOLDFISH_CHECK(cols.rank() == 2, "col2im expects a 2-D tensor");
-  const long oh = g.out_h(), ow = g.out_w();
-  const long patch = g.patch_size();
-  GOLDFISH_CHECK(cols.dim(0) == patch && cols.dim(1) == batch * oh * ow,
-                 "col2im geometry mismatch");
-  img.resize_uninit({batch, g.in_channels, g.in_h, g.in_w});
-  img.zero();  // padding positions receive no scatter writes
-  const float* src = cols.data();
-  float* dst = img.data();
-  const long col_stride = batch * oh * ow;
+void col2im_sample(const float* __restrict cols, long ld, const Conv2dGeom& g,
+                   float* __restrict img) {
+  const long ow = g.out_w();
   const long plane = g.in_h * g.in_w;
-  // Samples scatter into disjoint image slices → parallel over the batch.
+  std::fill_n(img, g.in_channels * plane, 0.0f);  // padding gets no writes
   // The (c, kh, kw, y, x) loop order is fixed, so every input pixel sums its
   // contributions in the same (kh, kw) order whatever the run lengths.
-  parallel_for(batch, [&](long n_lo, long n_hi) {
-  for (long n = n_lo; n < n_hi; ++n) {
-    for (long c = 0; c < g.in_channels; ++c) {
-      float* im = dst + (n * g.in_channels + c) * plane;
-      for (long kh = 0; kh < g.kernel; ++kh) {
-        const TapRange ys = tap_range(kh, g.stride, g.pad, g.in_h, oh);
-        for (long kw = 0; kw < g.kernel; ++kw) {
-          const TapRange xs = tap_range(kw, g.stride, g.pad, g.in_w, ow);
-          if (xs.empty()) continue;
-          const long row = ((c * g.kernel) + kh) * g.kernel + kw;
-          const float* in = src + row * col_stride + n * oh * ow + xs.lo;
-          const long ix0 = xs.lo * g.stride + kw - g.pad;
-          const long run = xs.hi - xs.lo;
-          for (long y = ys.lo; y < ys.hi; ++y) {
-            const float* r = in + y * ow;
-            float* o = im + (y * g.stride + kh - g.pad) * g.in_w + ix0;
-            if (g.stride == 1) {
-              for (long x = 0; x < run; ++x) o[x] += r[x];
-            } else {
-              for (long x = 0; x < run; ++x) o[x * g.stride] += r[x];
-            }
+  for (long c = 0; c < g.in_channels; ++c) {
+    float* im = img + c * plane;
+    for (long kh = 0; kh < g.kernel; ++kh) {
+      const TapRange ys = tap_range(kh, g.stride, g.pad, g.in_h, g.out_h());
+      for (long kw = 0; kw < g.kernel; ++kw) {
+        const TapRange xs = tap_range(kw, g.stride, g.pad, g.in_w, ow);
+        if (xs.empty()) continue;
+        const long row = ((c * g.kernel) + kh) * g.kernel + kw;
+        const float* in = cols + row * ld + xs.lo;
+        const long ix0 = xs.lo * g.stride + kw - g.pad;
+        const long run = xs.hi - xs.lo;
+        for (long y = ys.lo; y < ys.hi; ++y) {
+          const float* r = in + y * ow;
+          float* o = im + (y * g.stride + kh - g.pad) * g.in_w + ix0;
+          if (g.stride == 1) {
+            for (long x = 0; x < run; ++x) o[x] += r[x];
+          } else {
+            for (long x = 0; x < run; ++x) o[x * g.stride] += r[x];
           }
         }
       }
     }
   }
+}
+
+void col2im_into(const Tensor& cols, long batch, const Conv2dGeom& g,
+                 Tensor& img) {
+  GOLDFISH_CHECK(cols.rank() == 2, "col2im expects a 2-D tensor");
+  const long block = g.out_h() * g.out_w();
+  GOLDFISH_CHECK(cols.dim(0) == g.patch_size() && cols.dim(1) == batch * block,
+                 "col2im geometry mismatch");
+  img.resize_uninit({batch, g.in_channels, g.in_h, g.in_w});
+  const long sample = g.in_channels * g.in_h * g.in_w;
+  // Samples scatter into disjoint image slices → parallel over the batch.
+  parallel_for(batch, [&](long n_lo, long n_hi) {
+    for (long n = n_lo; n < n_hi; ++n)
+      col2im_sample(cols.data() + n * block, cols.dim(1), g,
+                    img.data() + n * sample);
   }, /*grain=*/1);
 }
 

@@ -117,10 +117,17 @@ void im2col_into(const Tensor& input, const Conv2dGeom& g, Tensor& cols);
 /// gradients back to an image-shaped (N,C,H,W) gradient.
 Tensor col2im(const Tensor& cols, long batch, const Conv2dGeom& g);
 
-/// col2im writing into caller-owned storage (resized in place and zeroed
-/// before the scatter-add, since padding positions receive no writes).
-/// Each pixel sums its contributions in a fixed (kh, kw) order.
+/// col2im writing into caller-owned storage (resized in place; every
+/// element is written). One col2im_sample per sample.
 void col2im_into(const Tensor& cols, long batch, const Conv2dGeom& g,
                  Tensor& img);
+
+/// One sample of col2im: scatter its (C·K·K, outH·outW) patch gradients,
+/// row r at `cols + r·ld`, into its (C, H, W) image gradient `img`, which
+/// is zeroed first (padding positions receive no writes). Each pixel sums
+/// its contributions in a fixed (kh, kw) order. `img` must not overlap
+/// `cols`.
+void col2im_sample(const float* cols, long ld, const Conv2dGeom& g,
+                   float* img);
 
 }  // namespace goldfish

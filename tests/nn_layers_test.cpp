@@ -129,7 +129,7 @@ TEST(MaxPool, AllNegativeInfinityWindowKeepsItsOwnArgmax) {
 namespace per_element {
 
 /// MaxPool2d's forward as it was written per element, kept verbatim as the
-/// reference for the row-pointer loops: output and argmax (flat input
+/// reference for the layer's plane loops: output and argmax (flat input
 /// index) per output element.
 void max_pool(const Tensor& x, long kernel, long stride, Tensor& out,
               std::vector<std::size_t>& argmax) {
@@ -168,19 +168,23 @@ void max_pool(const Tensor& x, long kernel, long stride, Tensor& out,
 
 }  // namespace per_element
 
-// The row-pointer forward against the per-element loop, bitwise, over
+// The plane-parallel forward against the per-element loop, bitwise, over
 // overlapping, tiling and gapped windows on odd sizes, with ties, all −inf
 // windows and NaNs. The argmax is compared through backward: a random
-// gradient scattered by each argmax.
+// gradient scattered by each argmax. The (8, 6, 28, 30) input spans several
+// parallel chunks of planes.
 TEST(MaxPool, MatchesPerElementLoop) {
   constexpr float kInf = std::numeric_limits<float>::infinity();
   Rng rng(41);
   const std::pair<long, long> windows[] = {{2, 2}, {3, 2}, {2, 1}, {3, 3}};
+  const Shape shapes[] = {{2, 3, 7, 9}, {2, 3, 9, 11}, {2, 3, 13, 15},
+                          {8, 6, 28, 30}};
   for (const auto& [kernel, stride] : windows) {
-    for (long size : {7L, 9L, 13L}) {
+    for (const Shape& shape : shapes) {
+      const long size = shape[2];
       SCOPED_TRACE("k" + std::to_string(kernel) + " s" +
                    std::to_string(stride) + " size " + std::to_string(size));
-      Tensor x = Tensor::randn({2, 3, size, size + 2}, rng);
+      Tensor x = Tensor::randn(shape, rng);
       for (std::size_t i = 0; i < x.numel(); ++i) {
         const std::size_t r = i % 11;
         if (r == 0) x[i] = std::nanf("");

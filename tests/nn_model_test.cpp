@@ -53,10 +53,10 @@ TEST(ModelBackward, ParameterGradientsMatchFullBackward) {
   };
   // Workspace keys in attach order: the Sequential root claims none,
   // Unflatten claims (y, dx) = 0–1, Linear (y, masked g, dx) and Conv2d
-  // (flat, packed, unpacked g, grad_cols, input grad) follow.
+  // (flat, packed, unpacked g, input grad) follow.
   const Case cases[] = {{"mlp16", {1, 4, 4}, {2}},
-                        {"lenet5", {1, 16, 16}, {1, 5, 6}},
-                        {"resnet8", {3, 8, 8}, {1, 5, 6}}};
+                        {"lenet5", {1, 16, 16}, {1, 5}},
+                        {"resnet8", {3, 8, 8}, {1, 5}}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.arch);
     Rng rng(71);
