@@ -44,8 +44,8 @@ int main() {
     ul.request_deletion({{0, s.poisoned_rows}});
     long epochs = 0, stops = 0;
     for (const auto& r : ul.run(rounds)) {
-      epochs += r.total_epochs_run;
-      stops += r.clients_terminated_early;
+      epochs += r.epochs_run;
+      stops += r.terminated_early;
     }
     nn::Model& m = ul.global_model();
     const auto mia = metrics::membership_inference(

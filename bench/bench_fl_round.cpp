@@ -188,10 +188,10 @@ double legacy_accuracy(nn::Model& model, const data::Dataset& ds,
 /// The synchronous round as it was before the model pool: a deep copy of
 /// the global model per client, the stringstream wire path, per-batch
 /// gathered evaluation.
-fl::StepResult legacy_run_round(nn::Model& global,
-                                const std::vector<data::Dataset>& clients,
-                                const data::Dataset& test,
-                                const fl::FlConfig& cfg, long round) {
+fl::StepResult legacy_sync_round(nn::Model& global,
+                                 const std::vector<data::Dataset>& clients,
+                                 const data::Dataset& test,
+                                 const fl::FlConfig& cfg, long round) {
   const std::size_t n = clients.size();
   std::vector<fl::ClientUpdate> updates(n);
   std::vector<double> local_acc(n, 0.0);
@@ -232,10 +232,10 @@ void BM_FlRoundFresh(benchmark::State& state) {
   fl::FlConfig cfg;
   nn::Model global = fed.global;
   long round = 0;
-  legacy_run_round(global, fed.parts, fed.test, cfg, round++);  // warm-up
+  legacy_sync_round(global, fed.parts, fed.test, cfg, round++);  // warm-up
   for (auto _ : state) {
     fl::StepResult r =
-        legacy_run_round(global, fed.parts, fed.test, cfg, round++);
+        legacy_sync_round(global, fed.parts, fed.test, cfg, round++);
     benchmark::DoNotOptimize(r.global_accuracy);
   }
   state.SetItemsProcessed(state.iterations());

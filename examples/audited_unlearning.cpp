@@ -75,7 +75,7 @@ int main() {
       std::cout << "  buffered distillation step: K=" << r.updates_consumed
                 << " at t=" << metrics::fmt(r.virtual_time, 2)
                 << ", accuracy " << metrics::fmt(r.global_accuracy)
-                << "%\n";
+                << "%, epochs " << r.epochs_run << "\n";
     });
   }
   audit("after unlearning ", unlearner.global_model());

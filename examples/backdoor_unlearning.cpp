@@ -137,10 +137,10 @@ int main() {
                                     ucfg);
   unlearner.request_deletion(requests);
   std::cout << "\nGoldfish unlearning (distilling from fresh init):\n";
-  for (const auto& round : unlearner.run(8))
-    std::cout << "    distill round " << round.round + 1 << ": accuracy "
+  for (const fl::StepResult& round : unlearner.run(8))
+    std::cout << "    distill round " << round.step + 1 << ": accuracy "
               << metrics::fmt(round.global_accuracy) << "%, epochs "
-              << round.total_epochs_run << "\n";
+              << round.epochs_run << "\n";
   report("Goldfish (unlearned)", unlearner.global_model());
 
   std::cout << "\nexpected shape: ASR rockets under fedavg, plateaus once "

@@ -63,11 +63,11 @@ int main() {
   cfg.distill.delta = 0.05f;  // early termination threshold (Eq. 7)
   core::GoldfishUnlearner unlearner(global, fresh, clients, tt.test, cfg);
   unlearner.request_deletion({{/*client_id=*/0, rows}});
-  for (const auto& round : unlearner.run(3))
-    std::cout << "  unlearn round " << round.round + 1
+  for (const fl::StepResult& round : unlearner.run(3))
+    std::cout << "  unlearn round " << round.step + 1
               << ": accuracy = " << metrics::fmt(round.global_accuracy) << "%"
               << ", adaptive T = " << round.mean_temperature
-            << ", epochs run = " << round.total_epochs_run << "\n";
+              << ", epochs run = " << round.epochs_run << "\n";
 
   // 5. Inspect the removed data's predictions: confidence should be low.
   nn::Model& unlearned = unlearner.global_model();

@@ -42,11 +42,8 @@ GoldfishUnlearner::GoldfishUnlearner(nn::Model global, nn::Model fresh_init,
     }();
     const DistillResult res =
         goldfish_distill(student, targets, d_r, d_f, opts);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    epochs_run_ += res.epochs_run;
-    if (res.terminated_early) ++terminated_early_;
-    if (c >= temps_.size()) temps_.resize(c + 1);
-    temps_[c] = res.temperature_used;
+    return fl::ClientReport{res.epochs_run, res.terminated_early,
+                            res.temperature_used};
   });
 }
 
@@ -81,24 +78,33 @@ AsyncDeletionPlan make_async_deletion(const fl::Engine& engine,
 
 void GoldfishUnlearner::request_deletion(
     const std::vector<UnlearnRequest>& requests) {
-  // Check the engine's in-flight guard before touching removed_: rejecting
-  // halfway through would leave rows listed as D_f while still training as
-  // D_r (and a retry would concatenate them twice). Mid-run requests go
-  // through make_async_deletion + a scenario DeletionEvent instead.
+  // Every request is checked before any is applied: rejecting halfway
+  // through would leave rows listed as D_f while still training as D_r (and
+  // a retry would concatenate them twice). The engine's in-flight guard
+  // comes first; mid-run requests go through make_async_deletion + a
+  // scenario DeletionEvent instead. A client named twice is rejected, as a
+  // scenario rejects two deletions for one client: the second request's
+  // rows would index data the first one already shrank.
   if (engine_->running())
     throw std::logic_error(
         "GoldfishUnlearner: request_deletion while a run is in flight; "
         "inject a DeletionEvent into the scenario instead");
+  std::vector<bool> named(engine_->num_clients(), false);
+  std::vector<DeletionSplit> splits;
+  splits.reserve(requests.size());
   for (const UnlearnRequest& req : requests) {
     GOLDFISH_CHECK(req.client_id < engine_->num_clients(),
                    "deletion request for unknown client");
-    DeletionSplit split =
-        split_deletion(engine_->client_data(req.client_id), req);
-    if (req.client_id >= removed_.size())
-      removed_.resize(req.client_id + 1);
-    removed_[req.client_id] =
-        data::Dataset::concat(removed_[req.client_id], split.removed);
-    engine_->set_client_data(req.client_id, std::move(split.remaining));
+    GOLDFISH_CHECK(!named[req.client_id],
+                   "two deletion requests for one client; merge their rows");
+    named[req.client_id] = true;
+    splits.push_back(split_deletion(engine_->client_data(req.client_id), req));
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::size_t c = requests[i].client_id;
+    if (c >= removed_.size()) removed_.resize(c + 1);
+    removed_[c] = data::Dataset::concat(removed_[c], splits[i].removed);
+    engine_->set_client_data(c, std::move(splits[i].remaining));
   }
 }
 
@@ -113,41 +119,9 @@ const data::Dataset& GoldfishUnlearner::remaining_data(
   return engine_->client_data(client);
 }
 
-UnlearnRoundResult GoldfishUnlearner::run_round() {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    epochs_run_ = 0;
-    terminated_early_ = 0;
-    temps_.assign(engine_->num_clients(), std::nullopt);
-  }
-
-  UnlearnRoundResult r;
-  const long base = engine_->rounds_completed();
-  engine_->run(engine_->sync_scenario(1, /*local_accuracy=*/false),
-               [&](const fl::StepResult& s) {
-                 r.round = base + s.step;
-                 r.global_accuracy = s.global_accuracy;
-               });
-
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  r.total_epochs_run = epochs_run_;
-  r.clients_terminated_early = terminated_early_;
-  double tsum = 0.0;
-  long ran = 0;
-  for (const std::optional<double>& t : temps_)
-    if (t) {
-      tsum += *t;
-      ++ran;
-    }
-  r.mean_temperature = ran > 0 ? tsum / double(ran) : 0.0;
-  return r;
-}
-
-std::vector<UnlearnRoundResult> GoldfishUnlearner::run(long rounds) {
-  std::vector<UnlearnRoundResult> out;
-  out.reserve(static_cast<std::size_t>(rounds));
-  for (long i = 0; i < rounds; ++i) out.push_back(run_round());
-  return out;
+std::vector<fl::StepResult> GoldfishUnlearner::run(long rounds) {
+  return engine_->collect(
+      engine_->sync_scenario(rounds, /*local_accuracy=*/false));
 }
 
 }  // namespace goldfish::core

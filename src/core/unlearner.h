@@ -8,15 +8,15 @@
 // distillation speed while D_f's influence is never transferred.
 //
 // The unlearner executes on the same event-driven fl::Engine as federated
-// training: distillation is just its client-update function, and run_round
-// is the canned synchronous scenario. Because of that, unlearning composes
-// with every server regime the engine supports — run a buffered scenario
-// (or sampling, availability windows, adaptive K) through engine() and the
-// distillation rounds become semi-asynchronous with no extra code.
+// training: distillation is just its client-update function, and run is the
+// canned synchronous scenario. Because of that, unlearning composes with
+// every server regime the engine supports — run a buffered scenario (or
+// sampling, availability windows, adaptive K) through engine() and the
+// distillation rounds become semi-asynchronous with no extra code. Each
+// task's epochs, early stop and temperature travel back as the update's
+// fl::ClientReport, so every StepResult of any scenario carries them in its
+// distillation block.
 #pragma once
-
-#include <mutex>
-#include <optional>
 
 #include "core/distill_trainer.h"
 #include "fl/engine.h"
@@ -65,16 +65,6 @@ struct UnlearnConfig {
   std::uint64_t seed = 17;
 };
 
-/// Telemetry per unlearning round.
-struct UnlearnRoundResult {
-  long round = 0;
-  double global_accuracy = 0.0;
-  long total_epochs_run = 0;       ///< Σ over clients (early term. shrinks it)
-  long clients_terminated_early = 0;
-  double mean_temperature = 0.0;   ///< mean adaptive temperature over the
-                                   ///< clients that ran a task
-};
-
 class GoldfishUnlearner {
  public:
   /// `global` must be the *trained* federated model (it becomes the
@@ -86,20 +76,16 @@ class GoldfishUnlearner {
   /// Register deletion requests (splits the clients' data into D_r / D_f).
   void request_deletion(const std::vector<UnlearnRequest>& requests);
 
-  /// Run one synchronous unlearning round (all clients distill in parallel,
-  /// then adaptive aggregation) — the engine's canned sync scenario.
-  UnlearnRoundResult run_round();
-
-  /// Run `rounds` rounds.
-  std::vector<UnlearnRoundResult> run(long rounds);
+  /// Run `rounds` synchronous unlearning rounds (all clients distill in
+  /// parallel, then adaptive aggregation) — the engine's canned sync
+  /// scenario. One StepResult per round, distillation block included.
+  std::vector<fl::StepResult> run(long rounds);
 
   /// The execution engine underneath. Unlearning scenarios compose like
   /// training ones: e.g. engine().run(engine().async_scenario(aggs), sink)
   /// distills through a buffered semi-asynchronous server, and sampling /
-  /// buffer / clock policies apply unchanged. Distillation telemetry
-  /// (epochs, early terminations, temperatures) accumulates across one
-  /// run and is reported by run_round; custom scenarios read the engine's
-  /// StepResult stream directly.
+  /// buffer / clock policies apply unchanged; their StepResults carry the
+  /// same distillation block.
   fl::Engine& engine() { return *engine_; }
 
   nn::Model& global_model() { return engine_->global_model(); }
@@ -116,16 +102,6 @@ class GoldfishUnlearner {
   std::vector<data::Dataset> removed_;
   data::Dataset no_removed_;  // D_f = ∅ for clients without deletions
   std::unique_ptr<fl::Engine> engine_;
-
-  // Distillation telemetry, accumulated by the client-update function
-  // across one engine run and drained by run_round. Temperatures are kept
-  // per client (empty for a client that ran no task, e.g. one that left)
-  // and summed in client order so the mean is bit-identical at any thread
-  // count.
-  std::mutex stats_mu_;
-  long epochs_run_ = 0;
-  long terminated_early_ = 0;
-  std::vector<std::optional<double>> temps_;
 };
 
 }  // namespace goldfish::core

@@ -106,12 +106,12 @@ Engine::Engine(nn::Model global, population::Population pop,
   stackable_ = stackable_mlp();
   // Default behaviour: Algorithm 1's LocalTraining. Each (client, round)
   // pair gets its own RNG stream via the collision-free splitmix mix.
-  update_fn_ = [this](std::size_t cid, nn::Model& model,
-                      const data::Dataset& ds, long round) {
+  set_client_update([this](std::size_t cid, nn::Model& model,
+                           const data::Dataset& ds, long round) {
     TrainOptions opts = cfg_.local;
     opts.seed = mix_seed(cfg_.seed, cid, static_cast<std::uint64_t>(round));
     train_local(model, ds, opts);
-  };
+  });
 }
 
 Engine::ModelLease::ModelLease(Engine& eng)
@@ -135,13 +135,6 @@ Engine::ModelLease::ModelLease(Engine& eng)
 Engine::ModelLease::~ModelLease() {
   std::lock_guard<std::mutex> lock(eng_.pool_mu_);
   eng_.pool_.push_back(std::move(model_));
-}
-
-void Engine::set_client_update(ClientUpdateFn fn) {
-  if (running())
-    throw std::logic_error(
-        "fl::Engine: set_client_update while a run is in flight");
-  update_fn_ = std::move(fn);
 }
 
 void Engine::set_client_data(std::size_t c, data::Dataset ds) {
@@ -377,6 +370,7 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
   std::vector<ClientUpdate> task_updates(num_tasks);
   wire_bytes.assign(num_tasks, 0);
   std::vector<double> task_err(num_tasks, 0.0);
+  std::vector<std::optional<ClientReport>> task_reports(num_tasks);
   // Reference-needing wires (delta) read version v's parameters during the
   // encode/decode roundtrip, so the version-release refcount drop moves
   // after the wire path for them.
@@ -394,7 +388,8 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
       futures[id] = sched_->submit([this, id, &plan, &epoch_data,
                                     &version_params, &version_refs,
                                     &task_updates, &wire_bytes, &task_err,
-                                    wirep, hold_ref, lossy, round_base] {
+                                    &task_reports, wirep, hold_ref, lossy,
+                                    round_base] {
         const Schedule::Task& tp = plan.tasks[id];
         const std::size_t from_v = static_cast<std::size_t>(tp.from_version);
         ModelLease lease(*this);
@@ -408,7 +403,8 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
           version_params[from_v].clear();
         const data::Dataset& ds =
             *epoch_data[tp.slot][static_cast<std::size_t>(tp.epoch)];
-        update_fn_(tp.client, local, ds, round_base + tp.index);
+        task_reports[id] =
+            update_fn_(tp.client, local, ds, round_base + tp.index);
         // The upload travels as real bytes: the client encodes its trained
         // parameters, the server decodes them — what aggregation sees is the
         // decoded (possibly lossy) reconstruction. One buffer per worker
@@ -444,6 +440,7 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
       std::vector<ClientUpdate> updates;
       updates.reserve(ap.tasks.size());
       StepResult r;
+      long reported = 0;
       for (std::size_t id : ap.tasks) {
         sched_->drain_until_ready(futures[id]);
         futures[id].get();  // rethrows task failures
@@ -452,7 +449,15 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
         r.encode_error += task_err[id];
         r.mean_staleness += double(plan.tasks[id].staleness);
         r.max_staleness = std::max(r.max_staleness, plan.tasks[id].staleness);
+        if (const std::optional<ClientReport>& rep = task_reports[id]) {
+          r.epochs_run += rep->epochs_run;
+          r.terminated_early += rep->terminated_early;
+          r.mean_temperature += rep->temperature;
+          ++reported;
+        }
       }
+      r.has_distillation = reported > 0;
+      if (reported > 0) r.mean_temperature /= double(reported);
       r.upload_bytes = wire_bytes[ap.tasks.front()];
       r.encode_error /= double(ap.tasks.size());
       const bool with_mse = agg.capabilities().needs_mse;

@@ -25,7 +25,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "fl/aggregation.h"
@@ -79,6 +83,15 @@ struct FlConfig {
   AsyncFlConfig async;
 };
 
+/// What a client update reports about its task. Goldfish distillation
+/// reports; plain local training reports nothing (see
+/// Engine::set_client_update).
+struct ClientReport {
+  long epochs_run = 0;
+  bool terminated_early = false;  ///< early termination (Eq. 7) fired
+  double temperature = 0.0;       ///< distillation temperature (Eq. 11)
+};
+
 /// Per-aggregation telemetry, emitted through the Engine's sink. A
 /// synchronous round is simply a step whose staleness is 0 and whose
 /// local-accuracy block is populated.
@@ -122,6 +135,14 @@ struct StepResult {
   /// carries no member rows.
   double mia_auc = 0.5;
   double mia_accuracy = 0.5;
+  /// Distillation block: the ClientReports of the consumed tasks, folded in
+  /// consumption order (client order for a synchronous round, so the mean is
+  /// bit-identical at any thread count); populated only when a consumed
+  /// task reported.
+  bool has_distillation = false;
+  long epochs_run = 0;        ///< Σ (early termination shrinks it)
+  long terminated_early = 0;  ///< tasks that stopped early
+  double mean_temperature = 0.0;  ///< mean over the tasks that reported
 };
 
 /// The single federated server loop. Owns the federation state (global
@@ -130,9 +151,10 @@ struct StepResult {
 class Engine {
  public:
   /// The per-client update: receives a local model already initialized from
-  /// the downloaded server version, trains it, and returns nothing (the
-  /// engine snapshots the model afterwards). `round` is the client's global
-  /// RNG-stream index — unique per (client, round) across runs.
+  /// the downloaded server version and trains it (the engine snapshots the
+  /// model afterwards). `round` is the client's global RNG-stream index —
+  /// unique per (client, round) across runs. This form reports nothing; an
+  /// update may instead return a ClientReport (set_client_update).
   using ClientUpdateFn = std::function<void(
       std::size_t client_id, nn::Model& local_model,
       const data::Dataset& local_data, long round)>;
@@ -158,9 +180,27 @@ class Engine {
   Engine(nn::Model global, population::Population pop,
          data::Dataset server_test, FlConfig cfg);
 
-  /// Replace the default (plain LocalTraining) client update. Rejected
-  /// while a run is in flight.
-  void set_client_update(ClientUpdateFn fn);
+  /// Replace the default (plain LocalTraining) client update: any callable
+  /// with ClientUpdateFn's arguments that returns a ClientReport (folded into
+  /// StepResult's distillation block) or nothing. Rejected while a run is in
+  /// flight.
+  template <class F>
+  void set_client_update(F fn) {
+    if (running())
+      throw std::logic_error(
+          "fl::Engine: set_client_update while a run is in flight");
+    if constexpr (std::is_void_v<std::invoke_result_t<
+                      F&, std::size_t, nn::Model&, const data::Dataset&,
+                      long>>)
+      update_fn_ = [fn = std::move(fn)](
+                       std::size_t c, nn::Model& m, const data::Dataset& ds,
+                       long round) mutable -> std::optional<ClientReport> {
+        fn(c, m, ds, round);
+        return std::nullopt;
+      };
+    else
+      update_fn_ = std::move(fn);
+  }
 
   /// Execute a scenario, emitting one StepResult per aggregation. The
   /// scenario is consumed. Not reentrant; throws std::logic_error if a run
@@ -293,7 +333,10 @@ class Engine {
   std::unique_ptr<runtime::Scheduler> owned_sched_;  // only when cfg.threads
   runtime::Scheduler* sched_;  // the pool client tasks run on
   metrics::BatchedEvaluator eval_;
-  ClientUpdateFn update_fn_;
+  /// The one stored client update; nullopt means "nothing to report".
+  std::function<std::optional<ClientReport>(
+      std::size_t, nn::Model&, const data::Dataset&, long)>
+      update_fn_;
   long round_ = 0;
   std::atomic<bool> running_{false};
 

@@ -450,8 +450,29 @@ TEST(Unlearner, RejectsBadRequests) {
   nn::Model m = nn::make_mlp({1, 28, 28}, 8, 10, rng);
   core::UnlearnConfig cfg;
   core::GoldfishUnlearner ul(m, m, parts, tt.test, cfg);
-  EXPECT_THROW(ul.request_deletion({{7, {0}}}), CheckError);
-  EXPECT_THROW(ul.request_deletion({{0, {100000}}}), CheckError);
+  const long rows0 = ul.remaining_data(0).size();
+  const long rows1 = ul.remaining_data(1).size();
+  // Every request is checked before any is applied: a rejected list leaves
+  // both clients' D_r and D_f untouched.
+  const auto expect_rejected =
+      [&](const std::vector<core::UnlearnRequest>& requests) {
+    EXPECT_THROW(ul.request_deletion(requests), CheckError);
+    EXPECT_EQ(ul.remaining_data(0).size(), rows0);
+    EXPECT_EQ(ul.remaining_data(1).size(), rows1);
+    EXPECT_EQ(ul.removed_data(0).size(), 0);
+    EXPECT_EQ(ul.removed_data(1).size(), 0);
+  };
+  expect_rejected({{7, {0}}});
+  expect_rejected({{0, {100000}}});
+  // A valid request before a bad one is not applied either.
+  expect_rejected({{0, {0, 1, 2}}, {1, {100000}}});
+  // A client named twice: the second request would index the data the
+  // first one already shrank.
+  expect_rejected({{0, {0, 1}}, {0, {0, 1}}});
+  // A request that would leave the client no data.
+  std::vector<std::size_t> all(static_cast<std::size_t>(rows1));
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  expect_rejected({{0, {0}}, {1, all}});
 }
 
 }  // namespace

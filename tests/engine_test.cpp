@@ -20,6 +20,7 @@
 #include "data/synthetic.h"
 #include "fl/engine.h"
 #include "nn/models.h"
+#include "step_result_equal.h"
 #include "tensor/buffer_pool.h"
 
 namespace goldfish {
@@ -884,7 +885,8 @@ TEST(ComposedScenarios, SteadyStateAllocatesNothing) {
 
 // GoldfishUnlearner rides the same engine, so distillation rounds compose
 // with buffering: an async scenario over the unlearner's engine runs the
-// paper's distillation as a semi-asynchronous server.
+// paper's distillation as a semi-asynchronous server, and every buffered
+// step carries the distillation block its tasks reported.
 TEST(UnlearnerEngine, AsyncDistillationScenarioRuns) {
   auto tt = data::make_synthetic(
       data::default_spec(data::DatasetKind::Mnist, 379, 240, 60));
@@ -893,9 +895,11 @@ TEST(UnlearnerEngine, AsyncDistillationScenarioRuns) {
   nn::Model fresh = nn::make_mlp({1, 28, 28}, 16, 10, rng);
   nn::Model global = fresh;
   {
+    // Plain LocalTraining reports nothing: no distillation block.
     fl::FlConfig cfg = fast_cfg();
     fl::Engine eng(global, clients, tt.test, cfg);
-    eng.run(eng.sync_scenario(2), {});
+    for (const fl::StepResult& st : eng.collect(eng.sync_scenario(2)))
+      EXPECT_FALSE(st.has_distillation);
     global = eng.global_model();
   }
 
@@ -908,24 +912,31 @@ TEST(UnlearnerEngine, AsyncDistillationScenarioRuns) {
   EXPECT_EQ(unlearner.removed_data(0).size(), 5);
 
   // One synchronous unlearning round through the canned bundle...
-  const auto r0 = unlearner.run_round();
-  EXPECT_GT(r0.total_epochs_run, 0);
+  const auto r0 = unlearner.run(1);
+  ASSERT_EQ(r0.size(), 1u);
+  EXPECT_TRUE(r0[0].has_distillation);
+  EXPECT_GT(r0[0].epochs_run, 0);
   // ...then buffered-asynchronous distillation through the same engine.
+  const long k = 2;
   fl::Engine& eng = unlearner.engine();
   fl::Scenario s = eng.async_scenario(2);
-  s.buffer = std::make_unique<fl::FixedBuffer>(2);
+  s.buffer = std::make_unique<fl::FixedBuffer>(k);
   const auto steps = eng.collect(std::move(s));
   ASSERT_EQ(steps.size(), 2u);
   for (const auto& st : steps) {
-    EXPECT_EQ(st.updates_consumed, 2);
+    EXPECT_EQ(st.updates_consumed, k);
     EXPECT_GT(st.global_accuracy, 0.0);
+    EXPECT_TRUE(st.has_distillation);
+    EXPECT_GT(st.epochs_run, 0);
+    EXPECT_LE(st.epochs_run, k * cfg.distill.max_epochs);
+    EXPECT_GT(st.mean_temperature, 0.0);
   }
 }
 
-// run_round's mean temperature averages the clients that ran a task in the
-// round: a client that left in an earlier scenario runs none, and must not
-// count as T = 0. Each temperature is Eq. 11 of the client's |D_r| and
-// |D_f|, so the expected means are exact.
+// The mean temperature averages the clients that ran a task in the round: a
+// client that left in an earlier scenario runs none, and must not count as
+// T = 0. Each temperature is Eq. 11 of the client's |D_r| and |D_f|, so the
+// expected means are exact.
 TEST(UnlearnerEngine, MeanTemperatureAveragesClientsThatRan) {
   Fed fed = make_fed(4, 240, 40, 381);
   core::UnlearnConfig cfg;
@@ -942,7 +953,7 @@ TEST(UnlearnerEngine, MeanTemperatureAveragesClientsThatRan) {
   };
   double all = 0.0;
   for (std::size_t c = 0; c < 4; ++c) all += temperature(c);
-  EXPECT_TRUE(bits_equal(unlearner.run_round().mean_temperature, all / 4.0));
+  EXPECT_TRUE(bits_equal(unlearner.run(1).at(0).mean_temperature, all / 4.0));
 
   // Client 3 leaves in a zero-aggregation scenario; the next round runs
   // clients 0..2 only.
@@ -953,10 +964,43 @@ TEST(UnlearnerEngine, MeanTemperatureAveragesClientsThatRan) {
   eng.collect(std::move(leave));
   double ran = 0.0;
   for (std::size_t c = 0; c < 3; ++c) ran += temperature(c);
-  const auto r = unlearner.run_round();
-  EXPECT_GT(r.total_epochs_run, 0);
+  const fl::StepResult r = unlearner.run(1).at(0);
+  EXPECT_GT(r.epochs_run, 0);
   EXPECT_TRUE(bits_equal(r.mean_temperature, ran / 3.0))
       << r.mean_temperature << " vs " << ran / 3.0;
+}
+
+// Each task's report lands in its own slot and is folded in consumption
+// order, so the unlearner's whole stream — distillation block included —
+// and its final model are bit-identical at 1, 2 and 8 client threads.
+TEST(UnlearnerEngine, StreamIsBitIdenticalAcrossThreadCounts) {
+  std::vector<std::vector<fl::StepResult>> streams;
+  std::vector<std::vector<Tensor>> finals;
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    Fed fed = make_fed(4, 240, 40, 383);
+    core::UnlearnConfig cfg;
+    cfg.distill.max_epochs = 2;
+    cfg.distill.batch_size = 40;
+    cfg.distill.lr = 0.05f;
+    cfg.threads = threads;
+    core::GoldfishUnlearner unlearner(fed.global, fed.global, fed.parts,
+                                      fed.test, cfg);
+    unlearner.request_deletion({{/*client_id=*/1, {0, 1, 2, 3, 4, 5}}});
+    streams.push_back(unlearner.run(3));
+    finals.push_back(unlearner.global_model().snapshot());
+  }
+  ASSERT_EQ(streams[0].size(), 3u);
+  for (const fl::StepResult& st : streams[0]) {
+    EXPECT_TRUE(st.has_distillation);
+    EXPECT_GT(st.epochs_run, 0);
+  }
+  for (std::size_t i = 1; i < streams.size(); ++i) {
+    EXPECT_TRUE(snapshots_bitwise_equal(finals[0], finals[i]));
+    ASSERT_EQ(streams[0].size(), streams[i].size());
+    for (std::size_t a = 0; a < streams[0].size(); ++a)
+      EXPECT_TRUE(steps_bitwise_equal(streams[0][a], streams[i][a]))
+          << "threads index " << i << ", step " << a;
+  }
 }
 
 }  // namespace

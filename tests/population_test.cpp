@@ -17,6 +17,7 @@
 #include "fl/engine.h"
 #include "fl/population/population.h"
 #include "nn/models.h"
+#include "step_result_equal.h"
 #include "tensor/serialize.h"
 
 namespace goldfish {
@@ -98,31 +99,6 @@ bool telemetry_equal(const fl::population::ClientStateStore::Telemetry& a,
          a.updates_aggregated == b.updates_aggregated &&
          a.bytes_uplinked == b.bytes_uplinked &&
          a.last_version == b.last_version;
-}
-
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-bool steps_bitwise_equal(const fl::StepResult& a, const fl::StepResult& b) {
-  return a.step == b.step && bits_equal(a.virtual_time, b.virtual_time) &&
-         bits_equal(a.global_accuracy, b.global_accuracy) &&
-         a.updates_consumed == b.updates_consumed &&
-         bits_equal(a.mean_staleness, b.mean_staleness) &&
-         a.max_staleness == b.max_staleness &&
-         a.dropped_updates == b.dropped_updates &&
-         a.bytes_uplinked == b.bytes_uplinked &&
-         a.upload_bytes == b.upload_bytes &&
-         bits_equal(a.encode_error, b.encode_error) &&
-         a.active_clients == b.active_clients && a.aggregator == b.aggregator &&
-         a.has_local_accuracy == b.has_local_accuracy &&
-         bits_equal(a.min_local_accuracy, b.min_local_accuracy) &&
-         bits_equal(a.max_local_accuracy, b.max_local_accuracy) &&
-         bits_equal(a.mean_local_accuracy, b.mean_local_accuracy) &&
-         a.has_audit == b.has_audit &&
-         bits_equal(a.attack_success, b.attack_success) &&
-         bits_equal(a.mia_auc, b.mia_auc) &&
-         bits_equal(a.mia_accuracy, b.mia_accuracy);
 }
 
 // -- cold client-state store -----------------------------------------------

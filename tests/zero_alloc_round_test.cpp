@@ -57,7 +57,7 @@ Fed make_fed(const char* arch, long clients, long train_rows, long test_rows,
 
 // One synchronous round on the engine (the canned sync bundle, with the
 // local-accuracy block).
-fl::StepResult run_round(fl::Engine& eng) {
+fl::StepResult sync_round(fl::Engine& eng) {
   fl::StepResult out;
   eng.run(eng.sync_scenario(1), [&](const fl::StepResult& s) { out = s; });
   return out;
@@ -142,7 +142,7 @@ TEST(ZeroAllocRound, MatchesLegacyPathBitwiseMlp) {
     cfg.local.lr = 0.05f;
     fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
     for (long r = 0; r < 3; ++r) {
-      const auto got = run_round(eng);
+      const auto got = sync_round(eng);
       const auto want =
           reference_round(ref_global, fed.parts, fed.test, cfg, r);
       expect_rounds_bitwise_equal(got, want);
@@ -162,7 +162,7 @@ TEST(ZeroAllocRound, MatchesLegacyPathBitwiseConv) {
   cfg.local.lr = 0.05f;
   fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
   for (long r = 0; r < 2; ++r) {
-    const auto got = run_round(eng);
+    const auto got = sync_round(eng);
     const auto want = reference_round(ref_global, fed.parts, fed.test, cfg, r);
     expect_rounds_bitwise_equal(got, want);
   }
@@ -182,7 +182,7 @@ TEST(ZeroAllocRound, DeterministicAcrossThreadCounts) {
     cfg.local.lr = 0.05f;
     fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
     fl::StepResult last;
-    for (long r = 0; r < 3; ++r) last = run_round(eng);
+    for (long r = 0; r < 3; ++r) last = sync_round(eng);
     finals.push_back(eng.global_model().snapshot());
     lasts.push_back(last);
   }
@@ -255,11 +255,11 @@ TEST(ZeroAllocRound, SteadyStateRoundsAllocateNothing) {
       cfg.local.epochs = 1;
       cfg.local.batch_size = 25;
       fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
-      run_round(eng);  // warm-up: pool, arenas, recycler all sized here
-      run_round(eng);
+      sync_round(eng);  // warm-up: pool, arenas, recycler all sized here
+      sync_round(eng);
       for (long r = 0; r < 2; ++r) {
         const std::size_t before = alloc_stats::heap_allocations();
-        run_round(eng);
+        sync_round(eng);
         EXPECT_EQ(alloc_stats::heap_allocations() - before, 0u)
             << agg << " " << arch << " round " << r;
       }
@@ -304,8 +304,8 @@ TEST(ZeroAllocRound, PoolBoundedByParallelism) {
   fl::FlConfig cfg;
   cfg.threads = 2;
   fl::Engine eng(fed.global, fed.parts, fed.test, cfg);
-  run_round(eng);
-  run_round(eng);
+  sync_round(eng);
+  sync_round(eng);
   EXPECT_GE(eng.pool_size(), 1u);
   EXPECT_LE(eng.pool_size(), 2u);  // never one replica per client
 }
