@@ -1,4 +1,4 @@
-// Extra ablation (DESIGN.md §5): what do the optimization/extension modules
+// Extra ablation: what do the optimization/extension modules
 // buy? Toggles early termination (Eq. 7) and adaptive temperature (Eq. 11)
 // inside Goldfish unlearning and reports local epochs spent, accuracy,
 // backdoor ASR, and a membership-inference audit on the removed rows.

@@ -14,7 +14,9 @@ struct Fig4Entry {
   /// the profile default.
   std::string arch_override;
   long train_override = 0;
-  /// Noise moderation for the narrow quick-scale ResNets (see DESIGN.md §2).
+  /// Noise multiplier: the quick-scale ResNet entries train resnet8 on 300
+  /// rows and lower the noise so the small net has a signal to learn; full
+  /// scale keeps 1.
   float noise_scale = 1.0f;
 };
 

@@ -1,5 +1,5 @@
-// Micro-benchmarks of the hot kernels (google-benchmark): matmul, im2col
-// convolution lowering, softmax family, and the Goldfish loss terms. These
+// Micro-benchmarks of the hot kernels (google-benchmark): matmul,
+// convolution, softmax family, and the Goldfish loss terms. These
 // are the cost drivers of every experiment above.
 #include <benchmark/benchmark.h>
 
@@ -98,17 +98,6 @@ void BM_GemmTn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmTn)->Arg(128)->Arg(256);
-
-void BM_Im2col(benchmark::State& state) {
-  Conv2dGeom g{3, 32, 32, 3, 1, 1};
-  Rng rng(3);
-  Tensor img = Tensor::randn({16, 3, 32, 32}, rng);
-  for (auto _ : state) {
-    Tensor cols = im2col(img, g);
-    benchmark::DoNotOptimize(cols.data());
-  }
-}
-BENCHMARK(BM_Im2col);
 
 void BM_ConvForward(benchmark::State& state) {
   Rng rng(4);

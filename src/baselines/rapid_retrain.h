@@ -4,11 +4,12 @@
 // information matrix (FIM) and uses a first-order Taylor / natural-gradient
 // approximation to take bigger, better-scaled steps.
 //
-// Substitution note (DESIGN.md §2): we reproduce the method's structure at
-// simulator scale — a diagonal empirical FIM captured from the trained
-// model on the remaining data preconditions SGD during the from-scratch
-// retrain. Like the paper's B2, it retrains from scratch (no D_f influence)
-// but converges faster than plain B1.
+// Substitution note: the original's full natural-gradient machinery does not
+// fit a CPU simulator, so we reproduce the method's structure at that scale
+// — a diagonal empirical FIM captured from the trained model on the
+// remaining data preconditions SGD during the from-scratch retrain. Like
+// the paper's B2, it retrains from scratch (no D_f influence) but converges
+// faster than plain B1.
 #pragma once
 
 #include "fl/engine.h"

@@ -32,11 +32,12 @@ PoisonResult poison_dataset(const Dataset& clean, const BackdoorSpec& spec,
       fraction * static_cast<float>(clean.size()) + 0.5f);
   const std::size_t n = std::min(want, candidates.size());
 
+  // The copy shares clean's rows until the first stamp detaches it.
   const long d = clean.features.dim(1);
+  float* rows = n > 0 ? out.poisoned.features.data() : nullptr;
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = candidates[k];
-    float* row =
-        out.poisoned.features.data() + i * static_cast<std::size_t>(d);
+    float* row = rows + i * static_cast<std::size_t>(d);
     stamp_trigger(row, clean.geom, spec);
     out.poisoned.labels[i] = spec.target_label;
     out.poisoned_indices.push_back(i);
@@ -56,10 +57,10 @@ Dataset make_trigger_probe(const Dataset& test, const BackdoorSpec& spec) {
     if (test.labels[i] != spec.target_label) keep.push_back(i);
   Dataset probe = test.subset(keep);
   const long d = probe.features.dim(1);
+  float* rows = probe.features.data();
   for (long i = 0; i < probe.size(); ++i) {
-    stamp_trigger(probe.features.data() +
-                      static_cast<std::size_t>(i) *
-                          static_cast<std::size_t>(d),
+    stamp_trigger(rows + static_cast<std::size_t>(i) *
+                             static_cast<std::size_t>(d),
                   probe.geom, spec);
     probe.labels[static_cast<std::size_t>(i)] = spec.target_label;
   }

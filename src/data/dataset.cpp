@@ -6,6 +6,14 @@
 
 namespace goldfish::data {
 
+Tensor& SharedRows::writable() {
+  if (!t_)
+    t_ = std::make_shared<Tensor>();
+  else if (t_.use_count() > 1)
+    t_ = std::make_shared<Tensor>(*t_);
+  return *t_;
+}
+
 Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
   const long d = features.dim(1);
   Dataset out;
@@ -13,12 +21,13 @@ Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
   out.geom = geom;
   out.features = Tensor({static_cast<long>(indices.size()), d});
   out.labels.reserve(indices.size());
+  float* dst = out.features.data();
   for (std::size_t r = 0; r < indices.size(); ++r) {
     const std::size_t src = indices[r];
     GOLDFISH_CHECK(src < static_cast<std::size_t>(size()),
                    "subset index out of range");
     const float* src_row = features.data() + src * static_cast<std::size_t>(d);
-    float* dst_row = out.features.data() + r * static_cast<std::size_t>(d);
+    float* dst_row = dst + r * static_cast<std::size_t>(d);
     std::copy(src_row, src_row + d, dst_row);
     out.labels.push_back(labels[src]);
   }
@@ -36,10 +45,10 @@ Dataset Dataset::concat(const Dataset& a, const Dataset& b) {
   out.geom = a.geom;
   const long d = a.features.dim(1);
   out.features = Tensor({a.size() + b.size(), d});
-  std::copy(a.features.data(), a.features.data() + a.features.numel(),
-            out.features.data());
+  float* dst = out.features.data();
+  std::copy(a.features.data(), a.features.data() + a.features.numel(), dst);
   std::copy(b.features.data(), b.features.data() + b.features.numel(),
-            out.features.data() + a.features.numel());
+            dst + a.features.numel());
   out.labels = a.labels;
   out.labels.insert(out.labels.end(), b.labels.begin(), b.labels.end());
   return out;

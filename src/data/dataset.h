@@ -2,6 +2,8 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "nn/models.h"
@@ -10,10 +12,61 @@
 
 namespace goldfish::data {
 
+/// A dataset's feature rows: a copy-on-write handle to one (N, D) tensor.
+/// Copying the handle copies a pointer, so copies share one block. Reads —
+/// the const accessors, `at`, `[]` and the implicit `const Tensor&` — never
+/// copy. A write through the non-const `data()` or `writable()` first
+/// detaches a private copy of the block when another handle shares it.
+class SharedRows {
+ public:
+  SharedRows() = default;
+  /// Adopt `t` as the rows (implicit, so `ds.features = Tensor(...)` reads
+  /// as plain assignment).
+  SharedRows(Tensor t) : t_(std::make_shared<Tensor>(std::move(t))) {}
+
+  operator const Tensor&() const { return tensor(); }
+  /// The rows for writing, owned by this handle alone: detaches (copies the
+  /// block) first if another handle shares it.
+  Tensor& writable();
+
+  const Shape& shape() const { return tensor().shape(); }
+  long dim(std::size_t axis) const { return tensor().dim(axis); }
+  std::size_t numel() const { return tensor().numel(); }
+  bool empty() const { return tensor().empty(); }
+  bool same_shape(const Tensor& other) const {
+    return tensor().same_shape(other);
+  }
+  const float* data() const { return tensor().data(); }
+  float* data() { return writable().data(); }
+  float operator[](std::size_t i) const { return tensor()[i]; }
+  float at(long r, long c) const { return tensor().at(r, c); }
+
+ private:
+  const Tensor& tensor() const {
+    static const Tensor kNoRows;
+    return t_ ? *t_ : kNoRows;
+  }
+
+  std::shared_ptr<Tensor> t_;
+};
+
 /// Flat-feature labeled dataset. Features are (N, D) with D = C·H·W; the
 /// geometry is carried along so conv models can unflatten.
+///
+/// Copies share their rows: copying a Dataset (into an engine, an
+/// unlearner, a baseline, a DeletionEvent) copies the labels but not the
+/// features. The contract:
+///  * A write through a non-const `features` handle detaches it first when
+///    the block is shared, so a write never shows through another copy.
+///  * Do not hold a pointer or reference from `writable()` or the non-const
+///    `data()` across a copy of the dataset: the copy shares the block, and
+///    a write through the old reference would show in both.
+///  * Mutation is single-threaded. Any number of threads may read or copy
+///    their own handles to one block, but a handle is written only by the
+///    thread that owns it, and a copy dropped on another thread counts as
+///    gone only once that thread's work has been joined.
 struct Dataset {
-  Tensor features;           // (N, D)
+  SharedRows features;       // (N, D)
   std::vector<long> labels;  // N entries in [0, num_classes)
   long num_classes = 0;
   nn::InputGeom geom;

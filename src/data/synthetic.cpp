@@ -106,6 +106,7 @@ Dataset generate(const SyntheticSpec& spec, long n, Rng& rng,
   ds.geom = geom;
   ds.features = Tensor({n, geom.flat()});
   ds.labels.reserve(static_cast<std::size_t>(n));
+  float* rows = ds.features.data();
   const long modes = spec.modes_per_class;
   for (long i = 0; i < n; ++i) {
     const long label = static_cast<long>(rng.uniform_index(
@@ -114,9 +115,8 @@ Dataset generate(const SyntheticSpec& spec, long n, Rng& rng,
         rng.uniform_index(static_cast<std::uint64_t>(modes)));
     const std::vector<float>& proto =
         mode_patterns[static_cast<std::size_t>(label * modes + mode)];
-    float* row = ds.features.data() +
-                 static_cast<std::size_t>(i) *
-                     static_cast<std::size_t>(geom.flat());
+    float* row = rows + static_cast<std::size_t>(i) *
+                            static_cast<std::size_t>(geom.flat());
     const float sd = diff.noise_sd * spec.noise_scale;
     for (long j = 0; j < geom.flat(); ++j)
       row[j] = proto[static_cast<std::size_t>(j)] + rng.normal(0.0f, sd);

@@ -1,7 +1,7 @@
 // Synthetic stand-ins for the paper's four benchmark datasets.
 //
-// Substitution (DESIGN.md §2): the offline environment has no MNIST/CIFAR
-// files, so each dataset is replaced by a generator that matches its
+// Substitution: the library ships no MNIST/CIFAR files and reads none from
+// the network, so each dataset is replaced by a generator that matches its
 // dimensionality, class count, and *relative difficulty*, and produces
 // spatially structured images (class prototypes drawn on a coarse grid and
 // bilinearly upsampled, plus per-class sub-modes and pixel noise) so that

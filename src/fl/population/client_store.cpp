@@ -46,7 +46,21 @@ T read_raw(const std::string& bytes, std::size_t offset) {
 GOLDFISH_HOT void ClientStateStore::spill(const data::Dataset& ds,
                                           const Telemetry& t,
                                           std::string& out) {
+  std::size_t bytes = kHeaderBytes;
+  if (!hot_) {
+    // Labels ride as a float GFT1 record (class ids are exact below 2^24),
+    // so the whole record parses with the one tensor reader.
+    label_tensor_.resize_uninit({static_cast<long>(ds.labels.size())});
+    float* lp = label_tensor_.data();
+    for (std::size_t i = 0; i < ds.labels.size(); ++i)
+      lp[i] = static_cast<float>(ds.labels[i]);
+    bytes += tensor_record_bytes(ds.features) +
+             tensor_record_bytes(label_tensor_);
+  }
   out.clear();
+  // goldfish-lint: allow(ALLOC002) a new record allocates once, at its exact
+  // size; a respilled record of no larger size reuses its capacity
+  out.reserve(bytes);
   append_raw(out, kMagic);
   append_raw(out, std::uint32_t{0});  // reserved
   append_raw(out, static_cast<std::int64_t>(ds.num_classes));
@@ -59,12 +73,6 @@ GOLDFISH_HOT void ClientStateStore::spill(const data::Dataset& ds,
   append_raw(out, static_cast<std::int64_t>(t.last_version));
   if (hot_) return;  // a hot record's dataset lives in its slot
   append_tensor_record(out, ds.features);
-  // Labels ride as a float GFT1 record (class ids are exact below 2^24),
-  // so the whole record parses with the one tensor reader.
-  label_tensor_.resize_uninit({static_cast<long>(ds.labels.size())});
-  float* lp = label_tensor_.data();
-  for (std::size_t i = 0; i < ds.labels.size(); ++i)
-    lp[i] = static_cast<float>(ds.labels[i]);
   append_tensor_record(out, label_tensor_);
 }
 
@@ -139,7 +147,10 @@ GOLDFISH_HOT const data::Dataset& ClientStateStore::materialize(
       static_cast<long>(read_raw<std::int64_t>(bytes, kOffGeom + 16));
 
   std::size_t offset = kHeaderBytes;
-  read_tensor_record_into(bytes.data(), bytes.size(), &offset, ds.features);
+  // The slot's own block is overwritten in place; a copy a caller still
+  // holds of its previous occupant detaches it first and keeps those rows.
+  read_tensor_record_into(bytes.data(), bytes.size(), &offset,
+                          ds.features.writable());
   read_tensor_record_into(bytes.data(), bytes.size(), &offset, label_tensor_);
   GOLDFISH_CHECK(offset == bytes.size(), "trailing bytes in client record");
   const std::size_t n = static_cast<std::size_t>(label_tensor_.numel());

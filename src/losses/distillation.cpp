@@ -1,6 +1,7 @@
 #include "losses/distillation.h"
 
 #include <cmath>
+#include <vector>
 
 #include "tensor/check.h"
 #include "tensor/ops.h"
@@ -47,6 +48,7 @@ LossResult confusion_loss(const Tensor& student_logits) {
   double total = 0.0;
   const float inv_n = 1.0f / static_cast<float>(n);
   const float inv_c = 1.0f / static_cast<float>(c);
+  std::vector<float> dL_dp(static_cast<std::size_t>(c));  // one row's dL/dp
   for (long i = 0; i < n; ++i) {
     const float v = var[static_cast<std::size_t>(i)];
     const float sd = std::sqrt(std::max(v, 0.0f));
@@ -59,7 +61,6 @@ LossResult confusion_loss(const Tensor& student_logits) {
     // d√V/dp_j = (p_j − mean)/(C·√V); then chain through the softmax
     // Jacobian: dL/dz_k = Σ_j dL/dp_j · p_j(δ_jk − p_k).
     float dot = 0.0f;  // Σ_j dL/dp_j · p_j
-    std::vector<float> dL_dp(static_cast<std::size_t>(c));
     for (long j = 0; j < c; ++j) {
       dL_dp[std::size_t(j)] = (p.at(i, j) - mean) * inv_c / sd;
       dot += dL_dp[std::size_t(j)] * p.at(i, j);

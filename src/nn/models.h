@@ -24,7 +24,8 @@ Model make_modified_lenet5(const InputGeom& in, long num_classes, Rng& rng);
 /// CIFAR-style ResNet-(6n+2): initial 3×3 conv, three stages of n residual
 /// blocks at widths {w, 2w, 4w}, global average pool, FC head.
 /// depth must satisfy depth = 6n+2 (32 → n=5, 56 → n=9). base_width is the
-/// compute knob documented in DESIGN.md §2 (paper uses 16; default 8 here).
+/// compute knob: the paper uses 16; make_model's "resnet32"/"resnet56" use 8,
+/// which quarters the conv FLOPs so the paper-scale benches run on a CPU.
 Model make_resnet(const InputGeom& in, long num_classes, long depth,
                   long base_width, Rng& rng);
 

@@ -13,8 +13,9 @@ class Sgd {
     float momentum = 0.9f;
     float weight_decay = 0.0f;
     /// Gradient-norm clip; <= 0 disables. The Goldfish hard loss maximizes
-    /// the forget-set loss, which can produce occasional large gradients —
-    /// clipping keeps unlearning runs stable (DESIGN.md §5).
+    /// the forget-set loss, which is unbounded above, so a batch can produce
+    /// a gradient large enough to wreck the student; clipping the global
+    /// norm bounds every step and keeps unlearning runs stable.
     float clip_norm = 5.0f;
   };
 

@@ -208,60 +208,6 @@ Tensor hadamard(Tensor lhs, const Tensor& rhs) {
   return lhs;
 }
 
-void im2col_into(const Tensor& input, const Conv2dGeom& g, Tensor& cols) {
-  GOLDFISH_CHECK(input.rank() == 4, "im2col expects (N,C,H,W)");
-  GOLDFISH_CHECK(input.dim(1) == g.in_channels && input.dim(2) == g.in_h &&
-                     input.dim(3) == g.in_w,
-                 "im2col geometry mismatch: " + input.shape_str());
-  const long N = input.dim(0);
-  const long oh = g.out_h(), ow = g.out_w();
-  const long patch = g.patch_size();
-  cols.resize_uninit({patch, N * oh * ow});  // every element written below
-  const float* src = input.data();
-  float* dst = cols.data();
-  const long col_stride = N * oh * ow;
-  const long plane = g.in_h * g.in_w;
-  // Samples write disjoint column ranges → parallel over the batch. A tap
-  // that reads any padding zeroes its oh·ow block first; the valid part of
-  // each output row is then one run: a copy (a strided gather when
-  // stride > 1) from one input row.
-  parallel_for(N, [&](long n_lo, long n_hi) {
-  for (long n = n_lo; n < n_hi; ++n) {
-    for (long c = 0; c < g.in_channels; ++c) {
-      const float* img = src + (n * g.in_channels + c) * plane;
-      for (long kh = 0; kh < g.kernel; ++kh) {
-        const TapRange ys = tap_range(kh, g.stride, g.pad, g.in_h, oh);
-        for (long kw = 0; kw < g.kernel; ++kw) {
-          const TapRange xs = tap_range(kw, g.stride, g.pad, g.in_w, ow);
-          const long row = ((c * g.kernel) + kh) * g.kernel + kw;
-          float* block = dst + row * col_stride + n * oh * ow;
-          if (xs.lo > 0 || xs.hi < ow || ys.lo > 0 || ys.hi < oh)
-            std::fill_n(block, oh * ow, 0.0f);
-          if (xs.empty()) continue;
-          const long ix0 = xs.lo * g.stride + kw - g.pad;
-          const long run = xs.hi - xs.lo;
-          for (long y = ys.lo; y < ys.hi; ++y) {
-            float* r = block + y * ow + xs.lo;
-            const float* in = img + (y * g.stride + kh - g.pad) * g.in_w + ix0;
-            if (g.stride == 1) {
-              for (long x = 0; x < run; ++x) r[x] = in[x];
-            } else {
-              for (long x = 0; x < run; ++x) r[x] = in[x * g.stride];
-            }
-          }
-        }
-      }
-    }
-  }
-  }, /*grain=*/1);
-}
-
-Tensor im2col(const Tensor& input, const Conv2dGeom& g) {
-  Tensor cols;
-  im2col_into(input, g, cols);
-  return cols;
-}
-
 void col2im_sample(const float* __restrict cols, long ld, const Conv2dGeom& g,
                    float* __restrict img) {
   const long ow = g.out_w();

@@ -1,5 +1,5 @@
 // Free-function kernels over Tensor: matmul, softmax family, reductions,
-// and the im2col/col2im pair that backs convolution.
+// and the col2im scatter behind the convolution's input gradient.
 //
 // All functions are pure (value in, value out) unless the name says
 // otherwise; shape preconditions throw CheckError.
@@ -104,17 +104,10 @@ struct Conv2dGeom {
   long patch_size() const { return in_channels * kernel * kernel; }
 };
 
-/// Lower a batch image tensor (N,C,H,W) to a matrix of shape
-/// (C·K·K, N·outH·outW) so convolution becomes one matmul.
-Tensor im2col(const Tensor& input, const Conv2dGeom& g);
-
-/// im2col writing into caller-owned storage (resized in place, every
-/// element written including the zero padding — no upfront fill needed).
-/// A pure copy: each element is one input float or a padding zero.
-void im2col_into(const Tensor& input, const Conv2dGeom& g, Tensor& cols);
-
-/// Adjoint of im2col: scatter a (C·K·K, N·outH·outW) matrix of patch
-/// gradients back to an image-shaped (N,C,H,W) gradient.
+/// Adjoint of im2col, the lowering of an (N,C,H,W) image to the
+/// (C·K·K, N·outH·outW) matrix of its patches (which the conv GEMMs gather
+/// on the fly, runtime/gemm.h): scatter such a matrix of patch gradients
+/// back to an image-shaped (N,C,H,W) gradient.
 Tensor col2im(const Tensor& cols, long batch, const Conv2dGeom& g);
 
 /// col2im writing into caller-owned storage (resized in place; every

@@ -177,6 +177,11 @@ GOLDFISH_HOT void append_tensor_record(std::string& out, const Tensor& t) {
                t.numel() * sizeof(float));
 }
 
+std::size_t tensor_record_bytes(const Tensor& t) {
+  return sizeof kMagic + sizeof(std::uint32_t) +
+         t.rank() * sizeof(std::int64_t) + t.numel() * sizeof(float);
+}
+
 GOLDFISH_HOT void read_tensor_record_into(const char* data, std::size_t size,
                                           std::size_t* offset, Tensor& t) {
   GOLDFISH_CHECK(offset != nullptr && *offset <= size, "bad record offset");

@@ -46,6 +46,10 @@ std::vector<Tensor> deserialize_tensors(const char* data, std::size_t size);
 /// byte-identical to list entries.
 GOLDFISH_HOT void append_tensor_record(std::string& out, const Tensor& t);
 
+/// Size in bytes of the record append_tensor_record writes for `t`, so a
+/// caller can reserve a container's exact size before filling it.
+std::size_t tensor_record_bytes(const Tensor& t);
+
 /// Parse one "GFT1" record at `data + *offset`, writing into `t` — storage
 /// is reused via Tensor::resize_uninit, so re-reading records of a shape the
 /// tensor has already held performs zero heap allocations (the pooled

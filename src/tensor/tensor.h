@@ -1,9 +1,12 @@
 // Dense float tensor: the numeric substrate for the whole library.
 //
-// Design notes (see DESIGN.md §5):
-//  * Row-major contiguous storage, value semantics, no views — every tensor
-//    owns its data. At the scale of this reproduction, copies are cheap and
-//    aliasing bugs are not worth the complexity of a strided-view system.
+// Design notes:
+//  * Row-major contiguous storage with value semantics: a Tensor owns its
+//    data, and copying one copies the data. There are no strided views, so
+//    no kernel has to reason about aliasing. Where a copy is too large to
+//    pay on every hand-off — a dataset's feature rows, which every engine,
+//    unlearner and baseline takes by value — data::SharedRows
+//    (data/dataset.h) shares one whole Tensor copy-on-write instead.
 //  * Shapes are std::vector<long> ("long" is int64 on our platforms); rank is
 //    small (≤ 4: N,C,H,W).
 //  * All shape violations throw CheckError via GOLDFISH_CHECK.

@@ -475,5 +475,88 @@ TEST(Unlearner, RejectsBadRequests) {
   expect_rejected({{0, {0}}, {1, all}});
 }
 
+
+// -- DatasetSharing: the unlearner and the engine keep the caller's rows ----
+// Built from lvalue `parts`, both copy the federation by sharing its rows.
+// The pointers still match after training, so no read path on the way (the
+// hot store, the client tasks, the teacher pass, server eval) detaches.
+
+const float* rows_of(const data::Dataset& ds) { return ds.features.data(); }
+
+TEST(DatasetSharing, UnlearnerKeepsCallerRows) {
+  auto tt = data::make_synthetic(
+      data::default_spec(data::DatasetKind::Mnist, 81, 160, 40));
+  Rng rng(82);
+  const auto parts = data::partition_iid(tt.train, 4, rng);
+  nn::Model trained = nn::make_mlp({1, 28, 28}, 16, 10, rng);
+  nn::Model fresh = nn::make_mlp({1, 28, 28}, 16, 10, rng);
+  core::UnlearnConfig cfg;
+  cfg.distill.max_epochs = 1;
+  cfg.distill.batch_size = 20;
+  core::GoldfishUnlearner ul(trained, fresh, parts, tt.test, cfg);
+  ul.request_deletion({{0, {0, 1, 2, 3}}});
+  const auto expect_shared = [&] {
+    for (std::size_t c = 1; c < parts.size(); ++c)
+      EXPECT_EQ(rows_of(ul.remaining_data(c)), rows_of(parts[c]));
+    EXPECT_EQ(rows_of(ul.engine().server_test()), rows_of(tt.test));
+  };
+  expect_shared();
+  EXPECT_NE(rows_of(ul.remaining_data(0)), rows_of(parts[0]));  // its D_r
+  ul.run(2);
+  expect_shared();
+}
+
+fl::FlConfig eight_thread_cfg() {
+  fl::FlConfig cfg;
+  cfg.local.epochs = 1;
+  cfg.local.batch_size = 20;
+  cfg.local.lr = 0.05f;
+  cfg.threads = 8;
+  return cfg;
+}
+
+TEST(DatasetSharing, EngineKeepsCallerRows) {
+  auto tt = data::make_synthetic(
+      data::default_spec(data::DatasetKind::Mnist, 83, 160, 40));
+  Rng rng(84);
+  const auto parts = data::partition_iid(tt.train, 8, rng);
+  fl::Engine eng(nn::make_mlp({1, 28, 28}, 16, 10, rng), parts, tt.test,
+                 eight_thread_cfg());
+  const auto expect_shared = [&] {
+    for (std::size_t c = 0; c < parts.size(); ++c)
+      EXPECT_EQ(rows_of(eng.client_data(c)), rows_of(parts[c]));
+    EXPECT_EQ(rows_of(eng.server_test()), rows_of(tt.test));
+  };
+  expect_shared();
+  eng.run(eng.sync_scenario(2), {});
+  expect_shared();
+}
+
+// Client tasks on 8 threads copy their dataset handle and train through the
+// copy while the caller holds its own: the blocks' counts move on every
+// thread at once, the rows are only read, and nothing detaches.
+TEST(DatasetSharing, TasksCopyAndReadSharedRowsOnEightThreads) {
+  auto tt = data::make_synthetic(
+      data::default_spec(data::DatasetKind::Mnist, 85, 160, 40));
+  Rng rng(86);
+  const auto parts = data::partition_iid(tt.train, 8, rng);
+  const fl::FlConfig cfg = eight_thread_cfg();
+  fl::Engine eng(nn::make_mlp({1, 28, 28}, 16, 10, rng), parts, tt.test, cfg);
+  std::vector<const float*> seen(parts.size(), nullptr);
+  eng.set_client_update([&](std::size_t c, nn::Model& model,
+                            const data::Dataset& ds, long round) {
+    const data::Dataset copy = ds;
+    seen[c] = rows_of(copy);
+    fl::TrainOptions opts = cfg.local;
+    opts.seed = mix_seed(cfg.seed, c, static_cast<std::uint64_t>(round));
+    fl::train_local(model, copy, opts);
+  });
+  eng.run(eng.sync_scenario(2), {});
+  for (std::size_t c = 0; c < parts.size(); ++c) {
+    EXPECT_EQ(seen[c], rows_of(parts[c]));
+    EXPECT_EQ(rows_of(eng.client_data(c)), rows_of(parts[c]));
+  }
+}
+
 }  // namespace
 }  // namespace goldfish

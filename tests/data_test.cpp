@@ -2,7 +2,9 @@
 // sharding, backdoor machinery.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "data/backdoor.h"
 #include "data/partition.h"
@@ -277,6 +279,75 @@ TEST(Backdoor, FractionOneCapsAtEligibleRows) {
   for (long y : tt.train.labels)
     if (y != spec.target_label) ++eligible;
   EXPECT_EQ(static_cast<long>(res.poisoned_indices.size()), eligible);
+}
+
+
+// -- DatasetSharing: a copy shares its rows; a write detaches ---------------
+
+/// The rows' address, read through the const accessor (which never detaches).
+const float* rows_of(const Dataset& ds) { return ds.features.data(); }
+
+TEST(DatasetSharing, CopySharesRows) {
+  auto tt =
+      data::make_synthetic(data::default_spec(DatasetKind::Mnist, 21, 40, 10));
+  const Dataset copy = tt.train;
+  EXPECT_EQ(rows_of(copy), rows_of(tt.train));
+  const Dataset copy_of_copy = copy;
+  EXPECT_EQ(rows_of(copy_of_copy), rows_of(tt.train));
+  // A concat with an empty side returns the other dataset, rows shared.
+  EXPECT_EQ(rows_of(Dataset::concat(Dataset{}, tt.train)), rows_of(tt.train));
+  EXPECT_EQ(rows_of(Dataset::concat(tt.train, Dataset{})), rows_of(tt.train));
+  // Reads through a non-const dataset do not detach.
+  const float first = tt.train.features[0];
+  EXPECT_EQ(tt.train.features.at(0, 0), first);
+  const Tensor& t = tt.train.features;
+  EXPECT_EQ(t.data(), rows_of(copy));
+}
+
+TEST(DatasetSharing, WriteDetachesOnlyWhenShared) {
+  auto tt =
+      data::make_synthetic(data::default_spec(DatasetKind::Mnist, 22, 40, 10));
+  Dataset ds = tt.train.subset({0, 1, 2});
+  const float* own = rows_of(ds);
+  ds.features.data()[0] = 7.0f;  // sole owner: written in place
+  EXPECT_EQ(rows_of(ds), own);
+
+  Dataset copy = ds;
+  copy.features.data()[0] = 9.0f;  // shared: the copy detaches first
+  EXPECT_NE(rows_of(copy), own);
+  EXPECT_EQ(rows_of(ds), own);
+  EXPECT_EQ(ds.features[0], 7.0f);
+  EXPECT_EQ(copy.features[0], 9.0f);
+  EXPECT_EQ(std::memcmp(rows_of(ds) + 1, rows_of(copy) + 1,
+                        (ds.features.numel() - 1) * sizeof(float)),
+            0);
+
+  // Assigning a tensor to a shared handle leaves the other holder's rows.
+  Dataset other = ds;
+  other.features = Tensor::zeros({1, ds.features.dim(1)});
+  EXPECT_EQ(rows_of(ds), own);
+  EXPECT_EQ(ds.size(), 3);
+  EXPECT_EQ(other.size(), 1);
+}
+
+TEST(DatasetSharing, PoisonedCopyLeavesSourceUnchanged) {
+  auto tt =
+      data::make_synthetic(data::default_spec(DatasetKind::Mnist, 23, 80, 10));
+  const std::vector<float> before(rows_of(tt.train),
+                                  rows_of(tt.train) + tt.train.features.numel());
+  Rng rng(24);
+  data::BackdoorSpec spec;
+  spec.target_label = 1;
+  auto res = data::poison_dataset(tt.train, spec, 0.3f, rng);
+  ASSERT_FALSE(res.poisoned_indices.empty());
+  EXPECT_NE(rows_of(res.poisoned), rows_of(tt.train));
+  EXPECT_EQ(std::memcmp(rows_of(tt.train), before.data(),
+                        before.size() * sizeof(float)),
+            0);
+  // Stamping nothing detaches nothing.
+  auto none = data::poison_dataset(tt.train, spec, 0.0f, rng);
+  EXPECT_TRUE(none.poisoned_indices.empty());
+  EXPECT_EQ(rows_of(none.poisoned), rows_of(tt.train));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Unit tests for tensor kernels: matmul family, softmax, reductions,
-// im2col/col2im, and the conv layer's data movement around them.
+// im2col (a test-only reference) and col2im, and the conv layer's data
+// movement around them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -13,6 +15,7 @@
 #include "nn/conv.h"
 #include "nn/models.h"
 #include "nn/sequential.h"
+#include "runtime/scheduler.h"
 #include "tensor/ops.h"
 
 namespace goldfish {
@@ -167,6 +170,73 @@ TEST(Hadamard, Elementwise) {
   EXPECT_FLOAT_EQ(c[1], 10.0f);
 }
 
+// -- im2col: the lowering conv no longer materializes ----------------------
+// The (C·K·K, N·oh·ow) patch matrix of an (N,C,H,W) batch, whose row
+// (c, kh, kw) the conv GEMMs gather straight from the image. Kept here as
+// the row-wise copy the library ran before its GEMMs packed from the input;
+// ConvKernels pins it to the per-element loop, and the adjoint tests pin
+// col2im to it.
+
+using runtime::tap_range;
+using runtime::TapRange;
+
+/// im2col into caller-owned storage (resized in place, every element
+/// written including the zero padding). A pure copy: each element is one
+/// input float or a padding zero.
+void im2col_into(const Tensor& input, const Conv2dGeom& g, Tensor& cols) {
+  GOLDFISH_CHECK(input.rank() == 4, "im2col expects (N,C,H,W)");
+  GOLDFISH_CHECK(input.dim(1) == g.in_channels && input.dim(2) == g.in_h &&
+                     input.dim(3) == g.in_w,
+                 "im2col geometry mismatch: " + input.shape_str());
+  const long N = input.dim(0);
+  const long oh = g.out_h(), ow = g.out_w();
+  const long patch = g.patch_size();
+  cols.resize_uninit({patch, N * oh * ow});  // every element written below
+  const float* src = input.data();
+  float* dst = cols.data();
+  const long col_stride = N * oh * ow;
+  const long plane = g.in_h * g.in_w;
+  // Samples write disjoint column ranges → parallel over the batch. A tap
+  // that reads any padding zeroes its oh·ow block first; the valid part of
+  // each output row is then one run: a copy (a strided gather when
+  // stride > 1) from one input row.
+  parallel_for(N, [&](long n_lo, long n_hi) {
+  for (long n = n_lo; n < n_hi; ++n) {
+    for (long c = 0; c < g.in_channels; ++c) {
+      const float* img = src + (n * g.in_channels + c) * plane;
+      for (long kh = 0; kh < g.kernel; ++kh) {
+        const TapRange ys = tap_range(kh, g.stride, g.pad, g.in_h, oh);
+        for (long kw = 0; kw < g.kernel; ++kw) {
+          const TapRange xs = tap_range(kw, g.stride, g.pad, g.in_w, ow);
+          const long row = ((c * g.kernel) + kh) * g.kernel + kw;
+          float* block = dst + row * col_stride + n * oh * ow;
+          if (xs.lo > 0 || xs.hi < ow || ys.lo > 0 || ys.hi < oh)
+            std::fill_n(block, oh * ow, 0.0f);
+          if (xs.empty()) continue;
+          const long ix0 = xs.lo * g.stride + kw - g.pad;
+          const long run = xs.hi - xs.lo;
+          for (long y = ys.lo; y < ys.hi; ++y) {
+            float* r = block + y * ow + xs.lo;
+            const float* in = img + (y * g.stride + kh - g.pad) * g.in_w + ix0;
+            if (g.stride == 1) {
+              for (long x = 0; x < run; ++x) r[x] = in[x];
+            } else {
+              for (long x = 0; x < run; ++x) r[x] = in[x * g.stride];
+            }
+          }
+        }
+      }
+    }
+  }
+  }, /*grain=*/1);
+}
+
+Tensor im2col(const Tensor& input, const Conv2dGeom& g) {
+  Tensor cols;
+  im2col_into(input, g, cols);
+  return cols;
+}
+
 TEST(Im2col, IdentityKernelGeometry) {
   // 1x1 kernel, stride 1: im2col should reproduce the image as rows.
   Conv2dGeom g{2, 3, 3, 1, 1, 0};
@@ -212,6 +282,37 @@ TEST(Im2col, GeometryMismatchThrows) {
   Tensor img({1, 2, 4, 4});  // wrong channel count
   EXPECT_THROW(im2col(img, g), CheckError);
 }
+
+// -- im2col/col2im adjoint across geometries ----------------------------------
+
+struct ConvGeomParam {
+  long channels, size, kernel, stride, pad;
+};
+
+class ConvGeomSweep : public ::testing::TestWithParam<ConvGeomParam> {};
+
+TEST_P(ConvGeomSweep, Im2colCol2imAreAdjoint) {
+  const auto p = GetParam();
+  Conv2dGeom g{p.channels, p.size, p.size, p.kernel, p.stride, p.pad};
+  ASSERT_GT(g.out_h(), 0);
+  Rng rng(14);
+  Tensor x = Tensor::randn({2, p.channels, p.size, p.size}, rng);
+  Tensor cx = im2col(x, g);
+  Tensor y = Tensor::randn(cx.shape(), rng);
+  Tensor ay = col2im(y, 2, g);
+  double lhs = 0.0, rhs = 0.0;
+  for (std::size_t i = 0; i < cx.numel(); ++i) lhs += double(cx[i]) * y[i];
+  for (std::size_t i = 0; i < x.numel(); ++i) rhs += double(x[i]) * ay[i];
+  EXPECT_NEAR(lhs, rhs, 1e-2 + 1e-4 * std::fabs(lhs));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ConvGeomSweep,
+    ::testing::Values(ConvGeomParam{1, 6, 3, 1, 0},
+                      ConvGeomParam{3, 8, 3, 1, 1},
+                      ConvGeomParam{2, 9, 5, 2, 2},
+                      ConvGeomParam{4, 7, 1, 1, 0},
+                      ConvGeomParam{1, 10, 3, 3, 1}));
 
 TEST(Conv2dGeom, OutputDims) {
   Conv2dGeom g{3, 32, 32, 3, 2, 1};

@@ -587,5 +587,35 @@ TEST(PopulationEngine, JoinsFlipsAndLeavesMatchResidentMode) {
         << "client " << c;
 }
 
+
+// -- DatasetSharing: a cold slot's rows and the copies taken of them --------
+
+const float* rows_of(const data::Dataset& ds) { return ds.features.data(); }
+
+TEST(DatasetSharing, ColdCopyKeepsRowsAfterSlotReuse) {
+  Fed fed = make_fed(2, 120, 30, 1201);
+  ASSERT_TRUE(fed.parts[0].features.same_shape(fed.parts[1].features));
+  fl::population::ClientStateStore store;
+  for (const data::Dataset& p : fed.parts) store.add(p);
+
+  const data::Dataset kept = store.materialize(0);
+  EXPECT_EQ(rows_of(kept), rows_of(store.resident_dataset(0)));
+  store.release(0);
+  // The same slot takes client 1; the copy still shares the old block, so
+  // the decode detaches the slot first.
+  const data::Dataset& m1 = store.materialize(1);
+  EXPECT_NE(rows_of(m1), rows_of(kept));
+  EXPECT_TRUE(datasets_bitwise_equal(kept, fed.parts[0]));
+  EXPECT_TRUE(datasets_bitwise_equal(m1, fed.parts[1]));
+
+  // With no copy outstanding the slot's block is decoded into in place:
+  // steady-state turnover neither detaches nor reallocates.
+  const float* slot_rows = rows_of(m1);
+  store.release(1);
+  const data::Dataset& m0 = store.materialize(0);
+  EXPECT_EQ(rows_of(m0), slot_rows);
+  EXPECT_TRUE(datasets_bitwise_equal(m0, fed.parts[0]));
+}
+
 }  // namespace
 }  // namespace goldfish

@@ -233,37 +233,6 @@ TEST_P(LossWeightSweep, TotalIsLinearInDistillationWeight) {
 INSTANTIATE_TEST_SUITE_P(Weights, LossWeightSweep,
                          ::testing::Values(0.1f, 0.25f, 0.5f, 1.0f, 2.0f));
 
-// -- im2col/col2im adjoint across geometries ----------------------------------
-
-struct ConvGeomParam {
-  long channels, size, kernel, stride, pad;
-};
-
-class ConvGeomSweep : public ::testing::TestWithParam<ConvGeomParam> {};
-
-TEST_P(ConvGeomSweep, Im2colCol2imAreAdjoint) {
-  const auto p = GetParam();
-  Conv2dGeom g{p.channels, p.size, p.size, p.kernel, p.stride, p.pad};
-  ASSERT_GT(g.out_h(), 0);
-  Rng rng(14);
-  Tensor x = Tensor::randn({2, p.channels, p.size, p.size}, rng);
-  Tensor cx = im2col(x, g);
-  Tensor y = Tensor::randn(cx.shape(), rng);
-  Tensor ay = col2im(y, 2, g);
-  double lhs = 0.0, rhs = 0.0;
-  for (std::size_t i = 0; i < cx.numel(); ++i) lhs += double(cx[i]) * y[i];
-  for (std::size_t i = 0; i < x.numel(); ++i) rhs += double(x[i]) * ay[i];
-  EXPECT_NEAR(lhs, rhs, 1e-2 + 1e-4 * std::fabs(lhs));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, ConvGeomSweep,
-    ::testing::Values(ConvGeomParam{1, 6, 3, 1, 0},
-                      ConvGeomParam{3, 8, 3, 1, 1},
-                      ConvGeomParam{2, 9, 5, 2, 2},
-                      ConvGeomParam{4, 7, 1, 1, 0},
-                      ConvGeomParam{1, 10, 3, 3, 1}));
-
 // -- hard losses agree on direction across batch sizes -------------------------
 
 class HardLossSweep : public ::testing::TestWithParam<long> {};

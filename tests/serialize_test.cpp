@@ -149,6 +149,10 @@ TEST(Serialize, BufferPathMatchesStreamBytes) {
   std::string buf;
   serialize_tensors(ts, buf);
   EXPECT_EQ(buf, ss.str());
+  // tensor_record_bytes predicts each record's size exactly.
+  std::size_t predicted = sizeof(count);
+  for (const Tensor& t : ts) predicted += tensor_record_bytes(t);
+  EXPECT_EQ(predicted, buf.size());
 
   const auto back = deserialize_tensors(buf.data(), buf.size());
   ASSERT_EQ(back.size(), ts.size());
