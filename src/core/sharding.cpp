@@ -139,11 +139,6 @@ nn::Model& ShardManager::shard_model(long shard) {
   return shards_[static_cast<std::size_t>(shard)].model;
 }
 
-const data::Dataset& ShardManager::shard_data(long shard) const {
-  GOLDFISH_CHECK(shard >= 0 && shard < num_shards(), "shard out of range");
-  return shards_[static_cast<std::size_t>(shard)].data;
-}
-
 const std::vector<std::size_t>& ShardManager::shard_row_ids(
     long shard) const {
   GOLDFISH_CHECK(shard >= 0 && shard < num_shards(), "shard out of range");

@@ -62,7 +62,6 @@ class ShardManager {
 
   /// Direct access for tests/benches.
   nn::Model& shard_model(long shard);
-  const data::Dataset& shard_data(long shard) const;
   /// Original-dataset row ids held by a shard (deletion requests are
   /// expressed in those ids).
   const std::vector<std::size_t>& shard_row_ids(long shard) const;

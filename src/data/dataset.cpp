@@ -14,6 +14,11 @@ Tensor& SharedRows::writable() {
   return *t_;
 }
 
+Tensor& SharedRows::overwritable() {
+  if (!t_ || t_.use_count() > 1) t_ = std::make_shared<Tensor>();
+  return *t_;
+}
+
 Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
   const long d = features.dim(1);
   Dataset out;

@@ -28,6 +28,10 @@ class SharedRows {
   /// The rows for writing, owned by this handle alone: detaches (copies the
   /// block) first if another handle shares it.
   Tensor& writable();
+  /// writable() for a write that replaces every row: a shared block is
+  /// left to its other handles, not copied, and this handle starts from an
+  /// empty tensor. An unshared block is returned as is, for reuse in place.
+  Tensor& overwritable();
 
   const Shape& shape() const { return tensor().shape(); }
   long dim(std::size_t axis) const { return tensor().dim(axis); }

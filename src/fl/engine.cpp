@@ -395,7 +395,7 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
         ModelLease lease(*this);
         nn::Model& local = lease.get();
         // Broadcast: load version v's parameters and zero the gradient
-        // accumulators (exactly what copy_from does for a deep clone).
+        // accumulators — a deep clone's state, without its allocations.
         local.load(version_params[from_v]);
         local.zero_grad();
         if (!hold_ref &&

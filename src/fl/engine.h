@@ -14,7 +14,7 @@
 //
 // The steady state is allocation-free: client models come from a pooled
 // replica set (broadcast is an in-place load over pooled storage), layers
-// write into per-model Workspace arenas, the wire path reuses per-thread
+// write into their own pass buffers, the wire path reuses per-thread
 // buffers, and remaining tensor temporaries recycle through a
 // BufferPoolScope held for the engine's lifetime. Each client task
 // provisions the buffer sizes it is first to need for every executor, so a

@@ -200,19 +200,6 @@ double BandwidthClock::duration(std::size_t client, long index) {
 
 // -- wire policies ----------------------------------------------------------
 
-namespace {
-
-/// Byte count of the shared list framing plus per-record headers: the part
-/// of every wire format that depends only on shapes.
-std::size_t header_bytes(const std::vector<Tensor>& like) {
-  std::size_t total = sizeof(std::uint32_t);  // tensor count
-  for (const Tensor& t : like)
-    total += 2 * sizeof(std::uint32_t) + t.rank() * sizeof(std::int64_t);
-  return total;
-}
-
-}  // namespace
-
 void DenseWire::encode(const std::vector<Tensor>& params,
                        const std::vector<Tensor>*, std::string& out) const {
   serialize_tensors(params, out);
@@ -224,9 +211,7 @@ std::vector<Tensor> DenseWire::decode(const char* data, std::size_t size,
 }
 
 std::size_t DenseWire::encoded_bytes(const std::vector<Tensor>& like) const {
-  std::size_t total = header_bytes(like);
-  for (const Tensor& t : like) total += t.numel() * sizeof(float);
-  return total;
+  return serialized_bytes(like);
 }
 
 void QuantizedWire::encode(const std::vector<Tensor>& params,
@@ -242,9 +227,7 @@ std::vector<Tensor> QuantizedWire::decode(const char* data, std::size_t size,
 
 std::size_t QuantizedWire::encoded_bytes(
     const std::vector<Tensor>& like) const {
-  std::size_t total = header_bytes(like);
-  for (const Tensor& t : like) total += 2 * sizeof(float) + t.numel();
-  return total;
+  return quantized_bytes(like);
 }
 
 TopKWire::TopKWire(double fraction) : fraction_(fraction) {
@@ -263,13 +246,7 @@ std::vector<Tensor> TopKWire::decode(const char* data, std::size_t size,
 }
 
 std::size_t TopKWire::encoded_bytes(const std::vector<Tensor>& like) const {
-  std::size_t total = header_bytes(like);
-  for (const Tensor& t : like)
-    total += sizeof(std::uint32_t) +
-             static_cast<std::size_t>(
-                 topk_count(static_cast<long>(t.numel()), fraction_)) *
-                 (sizeof(std::uint32_t) + sizeof(float));
-  return total;
+  return topk_bytes(like, fraction_);
 }
 
 namespace {

@@ -147,10 +147,11 @@ GOLDFISH_HOT const data::Dataset& ClientStateStore::materialize(
       static_cast<long>(read_raw<std::int64_t>(bytes, kOffGeom + 16));
 
   std::size_t offset = kHeaderBytes;
-  // The slot's own block is overwritten in place; a copy a caller still
-  // holds of its previous occupant detaches it first and keeps those rows.
+  // The slot's own block is overwritten in place; while a caller still
+  // holds a copy of its previous occupant, that copy keeps the block and
+  // the decode lands in a fresh one instead.
   read_tensor_record_into(bytes.data(), bytes.size(), &offset,
-                          ds.features.writable());
+                          ds.features.overwritable());
   read_tensor_record_into(bytes.data(), bytes.size(), &offset, label_tensor_);
   GOLDFISH_CHECK(offset == bytes.size(), "trailing bytes in client record");
   const std::size_t n = static_cast<std::size_t>(label_tensor_.numel());

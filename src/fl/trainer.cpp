@@ -16,8 +16,8 @@ TrainStats train_local(nn::Model& model, const data::Dataset& ds,
 
   // backward() accumulates into whatever the gradient buffers hold; a model
   // handed in with non-zero accumulators (e.g. a pooled replica loaded via
-  // Model::load, which — unlike copy_from — leaves gradients untouched)
-  // would silently fold stale gradients into its first step.
+  // Model::load, which leaves gradients untouched) would silently fold
+  // stale gradients into its first step.
   model.zero_grad();
 
   TrainStats stats;

@@ -5,9 +5,8 @@
 namespace goldfish::nn {
 
 const Tensor& ReLU::forward(const Tensor& x, bool /*train*/) {
-  Tensor& y = slot(0, x.shape());
-  Tensor& mask = slot(1, x.shape());
-  mask_shape_ = x.shape();
+  Tensor& y = y_.acquire(x.shape());
+  Tensor& mask = mask_.acquire(x.shape());
   const float* xd = x.data();
   float* yd = y.data();
   float* md = mask.data();
@@ -24,9 +23,8 @@ const Tensor& ReLU::forward(const Tensor& x, bool /*train*/) {
 }
 
 const Tensor& ReLU::backward(const Tensor& grad_output) {
-  GOLDFISH_CHECK(grad_output.shape() == mask_shape_, "relu grad shape");
-  const Tensor& mask = slot(1, mask_shape_);  // same shape: contents intact
-  Tensor& g = slot(2, grad_output.shape());
+  const Tensor& mask = mask_.read(grad_output.shape());
+  Tensor& g = dx_.acquire(grad_output.shape());
   const float* gd_in = grad_output.data();
   const float* md = mask.data();
   float* gd = g.data();
@@ -35,22 +33,20 @@ const Tensor& ReLU::backward(const Tensor& grad_output) {
 }
 
 std::unique_ptr<Layer> ReLU::clone() const {
-  auto copy = std::make_unique<ReLU>(*this);
-  copy->mask_shape_.clear();
-  return copy;
+  return std::make_unique<ReLU>(*this);
 }
 
 const Tensor& Unflatten::forward(const Tensor& x, bool /*train*/) {
   if (x.rank() == 4) return x;  // already image-shaped
   GOLDFISH_CHECK(x.rank() == 2 && x.dim(1) == c_ * h_ * w_,
                  "unflatten input shape " + x.shape_str());
-  Tensor& y = slot(0, {x.dim(0), c_, h_, w_});
+  Tensor& y = y_.acquire({x.dim(0), c_, h_, w_});
   std::copy(x.data(), x.data() + x.numel(), y.data());
   return y;
 }
 
 const Tensor& Unflatten::backward(const Tensor& grad_output) {
-  Tensor& g = slot(1, {grad_output.dim(0), c_ * h_ * w_});
+  Tensor& g = dx_.acquire({grad_output.dim(0), c_ * h_ * w_});
   std::copy(grad_output.data(), grad_output.data() + grad_output.numel(),
             g.data());
   return g;
@@ -61,18 +57,20 @@ std::unique_ptr<Layer> Unflatten::clone() const {
 }
 
 const Tensor& Flatten::forward(const Tensor& x, bool /*train*/) {
-  cached_shape_ = x.shape();
   GOLDFISH_CHECK(x.rank() >= 2, "flatten needs a batch dimension");
+  *in_shape_ = x.shape();
   long features = 1;
   for (std::size_t i = 1; i < x.rank(); ++i) features *= x.dim(i);
-  Tensor& y = slot(0, {x.dim(0), features});
+  Tensor& y = y_.acquire({x.dim(0), features});
   std::copy(x.data(), x.data() + x.numel(), y.data());
   return y;
 }
 
 const Tensor& Flatten::backward(const Tensor& grad_output) {
-  Tensor& g = slot(1, cached_shape_);
-  GOLDFISH_CHECK(g.numel() == grad_output.numel(), "flatten grad size");
+  GOLDFISH_CHECK(!in_shape_->empty() &&
+                     Tensor::shape_numel(*in_shape_) == grad_output.numel(),
+                 "flatten grad size");
+  Tensor& g = dx_.acquire(*in_shape_);
   std::copy(grad_output.data(), grad_output.data() + grad_output.numel(),
             g.data());
   return g;

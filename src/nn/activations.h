@@ -8,18 +8,17 @@ namespace goldfish::nn {
 /// Rectified linear unit; caches the input sign mask for backward.
 /// When a ReLU directly follows a Linear or Conv2d inside a Sequential, the
 /// container peepholes the pair: the activation runs fused in the GEMM
-/// writeback and this layer is skipped in both passes (so its y and mask
-/// slots stay unset).
+/// writeback and this layer is skipped in both passes (so its buffers stay
+/// empty).
 class ReLU final : public Layer {
  public:
   const Tensor& forward(const Tensor& x, bool train) override;
   const Tensor& backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "relu"; }
-  std::size_t local_slots() const override { return 3; }  // y, mask, dx
 
  private:
-  Shape mask_shape_;  // shape the mask slot was written for (empty = none)
+  PassBuffer<Tensor> y_, mask_, dx_;
 };
 
 /// Reshape (N, C·H·W) → (N,C,H,W). Datasets store flat feature vectors
@@ -33,10 +32,10 @@ class Unflatten final : public Layer {
   const Tensor& backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "unflatten"; }
-  std::size_t local_slots() const override { return 2; }  // y, dx
 
  private:
   long c_, h_, w_;
+  PassBuffer<Tensor> y_, dx_;
 };
 
 /// Reshape (N,C,H,W) → (N, C·H·W); pure bookkeeping, gradient reshapes back.
@@ -46,10 +45,10 @@ class Flatten final : public Layer {
   const Tensor& backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "flatten"; }
-  std::size_t local_slots() const override { return 2; }  // y, dx
 
  private:
-  Shape cached_shape_;
+  PassBuffer<Shape> in_shape_;
+  PassBuffer<Tensor> y_, dx_;
 };
 
 }  // namespace goldfish::nn

@@ -23,15 +23,13 @@ BatchNorm2d::BatchNorm2d(long channels, float momentum, float eps)
 const Tensor& BatchNorm2d::forward(const Tensor& x, bool train) {
   GOLDFISH_CHECK(x.rank() == 4 && x.dim(1) == channels_,
                  "batchnorm input shape " + x.shape_str());
-  in_shape_ = x.shape();
   const long N = x.dim(0), C = channels_, H = x.dim(2), W = x.dim(3);
   const long per_channel = N * H * W;
-  Tensor& out = slot(0, x.shape());
+  Tensor& out = out_.acquire(x.shape());
 
   if (train) {
-    Tensor& xhat = slot(1, x.shape());
-    cached_inv_std_.resize_uninit({C});
-    has_train_cache_ = true;
+    Tensor& xhat = xhat_.acquire(x.shape());
+    Tensor& inv_std_c = inv_std_.acquire({C});
     // Channels are independent (each writes its own slice of out/x̂ and its
     // own running-stat entries) → parallel over c on the shared runtime.
     parallel_for(C, [&](long c_lo, long c_hi) {
@@ -50,7 +48,7 @@ const Tensor& BatchNorm2d::forward(const Tensor& x, bool train) {
           }
       var /= per_channel;
       const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      cached_inv_std_[std::size_t(c)] = inv_std;
+      inv_std_c[std::size_t(c)] = inv_std;
       const float g = gamma_[std::size_t(c)], b = beta_[std::size_t(c)];
       for (long n = 0; n < N; ++n)
         for (long y = 0; y < H; ++y)
@@ -87,14 +85,13 @@ const Tensor& BatchNorm2d::forward(const Tensor& x, bool train) {
 }
 
 const Tensor& BatchNorm2d::backward(const Tensor& grad_output) {
-  GOLDFISH_CHECK(has_train_cache_,
-                 "batchnorm backward requires a training forward");
-  GOLDFISH_CHECK(grad_output.shape() == in_shape_, "batchnorm grad shape");
-  const long N = in_shape_[0], C = channels_, H = in_shape_[2],
-             W = in_shape_[3];
+  // Only a training forward fills x̂: backward needs its batch statistics.
+  const Tensor& xhat = xhat_.read(grad_output.shape());
+  const Tensor& inv_std_c = inv_std_.read({channels_});
+  const long N = xhat.dim(0), C = channels_, H = xhat.dim(2),
+             W = xhat.dim(3);
   const long m = N * H * W;
-  const Tensor& xhat = slot(1, in_shape_);  // same shape: contents intact
-  Tensor& gin = slot(2, in_shape_);
+  Tensor& gin = dx_.acquire(xhat.shape());
   parallel_for(C, [&](long c_lo, long c_hi) {
   for (long c = c_lo; c < c_hi; ++c) {
     // Standard batch-norm backward:
@@ -110,7 +107,7 @@ const Tensor& BatchNorm2d::backward(const Tensor& grad_output) {
     grad_beta_[std::size_t(c)] += static_cast<float>(sum_dy);
     grad_gamma_[std::size_t(c)] += static_cast<float>(sum_dy_xhat);
     const float g = gamma_[std::size_t(c)];
-    const float inv_std = cached_inv_std_[std::size_t(c)];
+    const float inv_std = inv_std_c[std::size_t(c)];
     const float scale = g * inv_std / static_cast<float>(m);
     for (long n = 0; n < N; ++n)
       for (long y = 0; y < H; ++y)
@@ -142,9 +139,6 @@ std::unique_ptr<Layer> BatchNorm2d::clone() const {
   auto copy = std::make_unique<BatchNorm2d>(*this);
   copy->grad_gamma_.zero();
   copy->grad_beta_.zero();
-  copy->cached_inv_std_ = Tensor();
-  copy->has_train_cache_ = false;
-  copy->in_shape_.clear();
   return copy;
 }
 

@@ -19,7 +19,6 @@ class BatchNorm2d final : public Layer {
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
-  std::size_t local_slots() const override { return 3; }  // out, x̂, dx
 
  private:
   long channels_ = 0;
@@ -28,10 +27,10 @@ class BatchNorm2d final : public Layer {
   Tensor gamma_, beta_;            // learnable (C)
   Tensor grad_gamma_, grad_beta_;  // accumulators (C)
   Tensor running_mean_, running_var_;
-  // Backward caches (training batches only); x̂ lives in slot 1.
-  Tensor cached_inv_std_;  // (C)
-  Shape in_shape_;
-  bool has_train_cache_ = false;  // a training forward populated slot 1
+  PassBuffer<Tensor> out_, dx_;
+  // Backward caches, written by training forwards only.
+  PassBuffer<Tensor> xhat_;     // (N, C, H, W)
+  PassBuffer<Tensor> inv_std_;  // (C)
 };
 
 }  // namespace goldfish::nn

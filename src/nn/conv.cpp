@@ -37,7 +37,7 @@ Conv2d::Conv2d(const Conv2d& other)
 Tensor& Conv2d::pack_output(const Tensor& flat, long batch) {
   const long oh = geom_.out_h(), ow = geom_.out_w();
   const long block = oh * ow;
-  Tensor& img = slot(1, {batch, out_channels_, oh, ow});
+  Tensor& img = out_.acquire({batch, out_channels_, oh, ow});
   // flat is (outC, N·oh·ow) with columns ordered (n, y, x): the (c, n)
   // block of oh·ow floats is contiguous on both sides.
   for (long c = 0; c < out_channels_; ++c) {
@@ -50,15 +50,14 @@ Tensor& Conv2d::pack_output(const Tensor& flat, long batch) {
 }
 
 Tensor& Conv2d::unpack_grad(const Tensor& grad_img) {
-  const long batch = cached_input_.dim(0);
+  const long batch = input_->dim(0);
   const long oh = geom_.out_h(), ow = geom_.out_w();
   const long block = oh * ow;
-  const Shape out_shape{batch, out_channels_, oh, ow};
-  GOLDFISH_CHECK(grad_img.shape() == out_shape, "conv grad shape");
-  // Same shape as forward's packed output: contents intact (the fused
-  // ReLU's post-activation values).
-  const Tensor* y = fuse_relu() ? &slot(1, out_shape) : nullptr;
-  Tensor& flat = slot(2, {out_channels_, batch * block});
+  GOLDFISH_CHECK(grad_img.shape() == Shape({batch, out_channels_, oh, ow}),
+                 "conv grad shape");
+  // The fused ReLU's post-activation values, as forward packed them.
+  const Tensor* y = fuse_relu() ? &out_.read(grad_img.shape()) : nullptr;
+  Tensor& flat = gflat_.acquire({out_channels_, batch * block});
   for (long c = 0; c < out_channels_; ++c) {
     float* row = flat.data() + c * batch * block;
     for (long n = 0; n < batch; ++n) {
@@ -75,7 +74,7 @@ Tensor& Conv2d::unpack_grad(const Tensor& grad_img) {
 }
 
 runtime::ImageColumns Conv2d::columns() const {
-  return {cached_input_.data(), cached_input_.dim(0), geom_.in_channels,
+  return {input_->data(), input_->dim(0), geom_.in_channels,
           geom_.in_h, geom_.in_w, geom_.kernel, geom_.stride, geom_.pad};
 }
 
@@ -85,12 +84,12 @@ const Tensor& Conv2d::forward(const Tensor& x, bool /*train*/) {
   GOLDFISH_CHECK(x.rank() == 4 && x.dim(1) == geom_.in_channels &&
                      x.dim(2) == geom_.in_h && x.dim(3) == geom_.in_w,
                  "conv input shape " + x.shape_str());
-  cached_input_ = x;  // member copy: capacity reused across steps
+  *input_ = x;  // member copy: capacity reused across steps
   const runtime::ImageColumns cols = columns();
   // Per-channel bias = one value per row of the (outC, N·oh·ow) product
   // (and the peepholed ReLU) fused into the GEMM writeback instead of extra
   // passes over the output.
-  Tensor& flat = slot(0, {out_channels_, cols.cols()});
+  Tensor& flat = flat_.acquire({out_channels_, cols.cols()});
   runtime::sgemm(false, false, out_channels_, weight_.data(), weight_.dim(1),
                  cols, flat.data(), flat.dim(1), /*beta=*/0.0f,
                  fuse_relu() ? runtime::Epilogue::kBiasRowRelu
@@ -100,7 +99,7 @@ const Tensor& Conv2d::forward(const Tensor& x, bool /*train*/) {
 }
 
 const Tensor& Conv2d::accumulate_grads(const Tensor& grad_output) {
-  GOLDFISH_CHECK(!cached_input_.empty(), "backward before forward");
+  GOLDFISH_CHECK(!input_->empty(), "backward before forward");
   const Tensor& g = unpack_grad(grad_output);  // (outC, N·oh·ow)
   const long cols = g.dim(1);
   // dW += g · colsᵀ, the transposed column matrix gathered from the input.
@@ -145,12 +144,12 @@ const Tensor& Conv2d::backward(const Tensor& grad_output) {
   const long patch = geom_.patch_size();
   const long block = geom_.out_h() * geom_.out_w();
   const long sample = geom_.in_channels * geom_.in_h * geom_.in_w;
-  Tensor& gin = slot(3, cached_input_.shape());
+  Tensor& gin = dx_.acquire(input_->shape());
   // dX per sample: its (patch, oh·ow) tile of Wᵀ·g, scattered into its
   // image while the tile is in cache. Each tile element is the same sum
   // over outC the whole-batch product forms, and the scatter keeps col2im's
   // order, so dX is bitwise col2im(Wᵀ·g) without the column-sized matrix.
-  parallel_for(cached_input_.dim(0), [&](long n_lo, long n_hi) {
+  parallel_for(input_->dim(0), [&](long n_lo, long n_hi) {
     float* tile = tile_scratch(static_cast<std::size_t>(patch * block));
     for (long n = n_lo; n < n_hi; ++n) {
       runtime::sgemm(true, false, patch, block, out_channels_, weight_.data(),

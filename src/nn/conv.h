@@ -15,13 +15,13 @@ namespace goldfish::nn {
 /// once, so no column-sized gradient is stored either. A fused ReLU
 /// (Sequential's Conv2d→ReLU peephole) rides the GEMM writeback, and
 /// backward applies its mask while unpacking the incoming gradient, reading
-/// the packed output slot — no extra slot.
+/// the packed output — no extra buffer.
 class Conv2d final : public ReluFusableLayer {
  public:
   Conv2d(long in_channels, long out_channels, long kernel, long stride,
          long pad, long in_h, long in_w, Rng& rng);
-  /// Copies the parameters only: gradients start at zero, unfused, and the
-  /// input of the last forward is not copied (what clone() returns).
+  /// Copies the parameters only: gradients start at zero and unfused (what
+  /// clone() returns).
   Conv2d(const Conv2d& other);
   Conv2d& operator=(const Conv2d&) = delete;
 
@@ -31,8 +31,6 @@ class Conv2d final : public ReluFusableLayer {
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
-  // flat product, packed output, unpacked grad, input grad
-  std::size_t local_slots() const override { return 4; }
 
   long out_channels() const { return out_channels_; }
   long out_h() const { return geom_.out_h(); }
@@ -44,15 +42,19 @@ class Conv2d final : public ReluFusableLayer {
   Tensor weight_;  // (outC, inC·K·K)
   Tensor bias_;    // (outC)
   Tensor grad_weight_, grad_bias_;
-  Tensor cached_input_;  // (N, C, H, W) from the last forward
+  PassBuffer<Tensor> input_;  // (N, C, H, W) from the last forward
+  PassBuffer<Tensor> flat_;   // (outC, N·oh·ow) forward product
+  PassBuffer<Tensor> out_;    // (N, outC, oh, ow) packed output
+  PassBuffer<Tensor> gflat_;  // (outC, N·oh·ow) unpacked incoming gradient
+  PassBuffer<Tensor> dx_;     // (N, C, H, W) input gradient
 
   /// The cached input read as its (C·K·K, N·oh·ow) column matrix.
   runtime::ImageColumns columns() const;
   /// (outC, N·oh·ow) matmul output → (N, outC, oh, ow) image layout, into
-  /// the layer's output slot: one oh·ow block copy per (channel, sample).
+  /// the layer's output buffer: one oh·ow block copy per (channel, sample).
   Tensor& pack_output(const Tensor& flat, long batch);
-  /// Inverse of pack_output for the incoming gradient, into a slot; when
-  /// fused, each block is masked by the packed output (ReLU backward).
+  /// Inverse of pack_output for the incoming gradient; when fused, each
+  /// block is masked by the packed output (ReLU backward).
   Tensor& unpack_grad(const Tensor& grad_img);
   /// dW and db from `grad_output`; returns the unpacked (outC, N·oh·ow)
   /// gradient the input-gradient GEMM consumes.

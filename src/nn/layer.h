@@ -9,23 +9,68 @@
 // tests/nn_gradcheck_test.cpp), which is how we guarantee the substrate the
 // unlearning results rest on is numerically correct.
 //
-// Outputs live in a Workspace (see workspace.h): forward/backward return
-// `const Tensor&` views of arena slots the layer claimed at attach time, so
-// steady-state passes allocate nothing and skip even the zero-fill (the
-// slots are reused uninitialized, Tensor::uninit-style). A layer that was
-// never attached to a model-owned workspace lazily creates a private one, so
-// standalone layers in tests behave identically. A returned reference stays
-// valid until the same layer runs the same pass again.
+// What a pass writes — outputs, masks, cached inputs, scratch — lives in the
+// layer's own PassBuffer members: forward/backward return `const Tensor&`
+// views of them, reshaped in place each pass, so steady-state passes
+// allocate nothing and skip even the zero-fill. A returned reference stays
+// valid until the same layer runs the same pass again. A copy of a layer
+// carries none of it (PassBuffer copies start empty).
 #pragma once
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "nn/workspace.h"
 #include "tensor/tensor.h"
 
 namespace goldfish::nn {
+
+/// One piece of a layer's pass state: a value its forward or backward
+/// writes for a later pass to read (an output, a ReLU mask, a cached
+/// input, an argmax table). Copying or assigning a PassBuffer yields an
+/// empty one, so a copied layer — clone(), a Model copy — carries its
+/// parameters and nothing its passes left behind.
+template <class T>
+class PassBuffer {
+ public:
+  PassBuffer() = default;
+  PassBuffer(const PassBuffer&) noexcept {}
+  PassBuffer& operator=(const PassBuffer&) noexcept {
+    value_ = T();
+    return *this;
+  }
+  PassBuffer(PassBuffer&&) noexcept = default;
+  PassBuffer& operator=(PassBuffer&&) noexcept = default;
+
+  T& operator*() { return value_; }
+  const T& operator*() const { return value_; }
+  T* operator->() { return &value_; }
+  const T* operator->() const { return &value_; }
+
+  /// The tensor reshaped to `shape` (Tensor::resize_uninit): contents
+  /// intact when `shape` is the shape it already has, undefined otherwise,
+  /// so a pass must overwrite (or explicitly zero) what it acquires.
+  Tensor& acquire(const Shape& shape)
+    requires std::is_same_v<T, Tensor>
+  {
+    value_.resize_uninit(shape);
+    return value_;
+  }
+
+  /// What an earlier pass left at `shape`. Throws when no pass has filled
+  /// the buffer at that shape: a readback never regrows.
+  const Tensor& read(const Shape& shape) const
+    requires std::is_same_v<T, Tensor>
+  {
+    GOLDFISH_CHECK(value_.rank() > 0 && value_.shape() == shape,
+                   "pass buffer read at a shape no pass left in it");
+    return value_;
+  }
+
+ private:
+  T value_{};
+};
 
 /// A named view over a parameter and its gradient accumulator.
 struct ParamRef {
@@ -48,15 +93,15 @@ class Layer {
 
   /// Forward pass. `train` toggles training-only behaviour (batch-norm
   /// statistics). Implementations cache activations needed by backward.
-  /// The result references a workspace slot owned by this layer (or, for
-  /// pure pass-throughs, the input itself) and is overwritten by the
-  /// layer's next forward.
+  /// The result references a buffer owned by this layer (or, for pure
+  /// pass-throughs, the input itself) and is overwritten by the layer's
+  /// next forward.
   virtual const Tensor& forward(const Tensor& x, bool train) = 0;
 
   /// Backward pass: input is ∂L/∂output, returns ∂L/∂input, and *adds*
   /// parameter gradients into the layer's accumulators (so multiple loss
   /// terms can be backpropagated before one optimizer step). The result
-  /// references a workspace slot, clobbered by the layer's next backward.
+  /// references a buffer of this layer, clobbered by its next backward.
   virtual const Tensor& backward(const Tensor& grad_output) = 0;
 
   /// Parameter-gradient-only backward: adds exactly the parameter gradients
@@ -82,50 +127,19 @@ class Layer {
   }
 
   /// Deep copy, including parameter values (running stats too) but with
-  /// freshly zeroed gradients and no workspace binding (the owning Model
-  /// re-attaches). Needed to spawn teacher/student and per-shard replicas.
+  /// freshly zeroed gradients and no pass state. Needed to spawn
+  /// teacher/student and per-shard replicas.
   virtual std::unique_ptr<Layer> clone() const = 0;
 
   /// Short diagnostic name ("linear(400->120)").
   virtual std::string name() const = 0;
 
-  /// Bind this layer (and any children) to `ws`, claiming `local_slots()`
-  /// consecutive slot keys starting at `next_key`. Containers override to
-  /// recurse. Re-attaching the same structure reassigns the same keys, so
-  /// existing slot storage stays valid.
-  virtual void attach_workspace(Workspace* ws, std::size_t& next_key) {
-    ws_ = ws;
-    key_ = next_key;
-    next_key += local_slots();
-  }
-
-  /// Number of workspace slots the layer itself writes (outputs, masks,
-  /// scratch). Containers with no tensors of their own return 0.
-  virtual std::size_t local_slots() const { return 0; }
-
-  Layer() = default;
-  // Copies never inherit a workspace binding: a clone belongs to a new
-  // model (or none) and is re-attached by its owner.
-  Layer(const Layer&) noexcept {}
-  Layer& operator=(const Layer&) noexcept { return *this; }
-
  protected:
-  /// Slot `i` of this layer's local_slots(), shaped `shape` (contents per
-  /// the Workspace contract). Unbound layers use a lazily created private
-  /// workspace.
-  Tensor& slot(std::size_t i, const Shape& shape) {
-    if (ws_ != nullptr) return ws_->acquire(key_ + i, shape);
-    if (own_ws_ == nullptr) {
-      own_ws_ = std::make_unique<Workspace>();
-      own_ws_->ensure(local_slots());
-    }
-    return own_ws_->acquire(i, shape);
-  }
-
- private:
-  Workspace* ws_ = nullptr;   // model-owned arena, null when standalone
-  std::size_t key_ = 0;       // first slot key claimed by this layer
-  std::unique_ptr<Workspace> own_ws_;  // fallback for unbound layers
+  Layer() = default;
+  Layer(const Layer&) = default;
+  Layer& operator=(const Layer&) = default;
+  Layer(Layer&&) = default;
+  Layer& operator=(Layer&&) = default;
 };
 
 /// A layer whose GEMM writeback can absorb the ReLU that follows it

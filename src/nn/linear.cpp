@@ -30,33 +30,31 @@ Linear::Linear(const Linear& other)
 const Tensor& Linear::forward(const Tensor& x, bool /*train*/) {
   GOLDFISH_CHECK(x.rank() == 2 && x.dim(1) == in_,
                  "linear input shape " + x.shape_str());
-  cached_input_ = x;  // member copy: capacity reused across steps
+  *input_ = x;  // member copy: capacity reused across steps
   // Bias (and the peepholed ReLU) ride the GEMM writeback — no extra pass.
-  Tensor& y = slot(0, {x.dim(0), out_});
+  Tensor& y = y_.acquire({x.dim(0), out_});
   gemm_fused_into(y, x, weight_, false, true,
                   fuse_relu() ? runtime::Epilogue::kBiasColRelu
                               : runtime::Epilogue::kBiasCol,
                   bias_);  // (N, out)
-  if (fuse_relu()) cached_output_ = y;
   return y;
 }
 
 const Tensor& Linear::accumulate_grads(const Tensor& grad_output) {
   GOLDFISH_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == out_,
                  "linear grad shape");
-  GOLDFISH_CHECK(!cached_input_.empty(), "backward before forward");
+  GOLDFISH_CHECK(!input_->empty(), "backward before forward");
   const Tensor* grad = &grad_output;
   if (fuse_relu()) {
     // The folded ReLU's mask: post-activation > 0 ⟺ pre-activation > 0.
-    GOLDFISH_CHECK(grad_output.same_shape(cached_output_),
-                   "fused relu grad shape");
-    Tensor& masked = slot(1, grad_output.shape());
-    mask_relu_grad(grad_output.data(), cached_output_.data(), masked.data(),
+    const Tensor& y = y_.read(grad_output.shape());
+    Tensor& masked = masked_.acquire(grad_output.shape());
+    mask_relu_grad(grad_output.data(), y.data(), masked.data(),
                    masked.numel());
     grad = &masked;
   }
   // dW = gradᵀ · x (accumulated in place) ; db = column sums
-  gemm_acc(grad_weight_, *grad, cached_input_, true, false);
+  gemm_acc(grad_weight_, *grad, *input_, true, false);
   const long n = grad->dim(0);
   for (long i = 0; i < n; ++i)
     for (long j = 0; j < out_; ++j)
@@ -66,7 +64,7 @@ const Tensor& Linear::accumulate_grads(const Tensor& grad_output) {
 
 const Tensor& Linear::backward(const Tensor& grad_output) {
   const Tensor& grad = accumulate_grads(grad_output);
-  Tensor& dx = slot(2, {grad.dim(0), in_});  // dx = grad · W
+  Tensor& dx = dx_.acquire({grad.dim(0), in_});  // dx = grad · W
   gemm_into(dx, grad, weight_, false, false);
   return dx;
 }

@@ -9,8 +9,8 @@ class Linear final : public ReluFusableLayer {
  public:
   /// He-initialized weights (suits the ReLU networks all paper models use).
   Linear(long in_features, long out_features, Rng& rng);
-  /// Copies the parameters only: gradients start at zero, unfused, and no
-  /// forward cache is copied (what clone() returns).
+  /// Copies the parameters only: gradients start at zero and unfused (what
+  /// clone() returns).
   Linear(const Linear& other);
   Linear& operator=(const Linear&) = delete;
 
@@ -20,7 +20,6 @@ class Linear final : public ReluFusableLayer {
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
-  std::size_t local_slots() const override { return 3; }  // y, masked g, dx
 
   long in_features() const { return in_; }
   long out_features() const { return out_; }
@@ -30,8 +29,9 @@ class Linear final : public ReluFusableLayer {
   Tensor weight_;  // (out, in)
   Tensor bias_;    // (out)
   Tensor grad_weight_, grad_bias_;
-  Tensor cached_input_;   // (N, in) from the last forward
-  Tensor cached_output_;  // (N, out) post-ReLU, only kept when fused
+  PassBuffer<Tensor> input_;  // (N, in) from the last forward
+  PassBuffer<Tensor> y_;      // (N, out), post-ReLU when fused
+  PassBuffer<Tensor> masked_, dx_;
 
   /// dW and db from `grad_output` (masked first when fused); returns the
   /// gradient the input-gradient GEMM consumes.

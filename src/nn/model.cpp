@@ -2,19 +2,6 @@
 
 namespace goldfish::nn {
 
-void Model::attach() {
-  if (root_ == nullptr) {
-    ws_.reset();
-    return;
-  }
-  if (ws_ == nullptr) ws_ = std::make_unique<Workspace>();
-  std::size_t next_key = 0;
-  root_->attach_workspace(ws_.get(), next_key);
-  // Pre-size the slot table now: acquire may never reallocate it mid-pass
-  // (layers hold references into it across a whole forward/backward chain).
-  ws_->ensure(next_key);
-}
-
 Model::Model(std::string arch_name, std::unique_ptr<Layer> root,
              long num_classes)
     : arch_name_(std::move(arch_name)),
@@ -22,42 +9,19 @@ Model::Model(std::string arch_name, std::unique_ptr<Layer> root,
       num_classes_(num_classes) {
   GOLDFISH_CHECK(root_ != nullptr, "model requires a root layer");
   GOLDFISH_CHECK(num_classes_ > 0, "model requires a class count");
-  attach();
 }
 
 Model::Model(const Model& other)
     : arch_name_(other.arch_name_),
       root_(other.root_ ? other.root_->clone() : nullptr),
-      num_classes_(other.num_classes_) {
-  attach();
-}
+      num_classes_(other.num_classes_) {}
 
 Model& Model::operator=(const Model& other) {
   if (this == &other) return *this;
   arch_name_ = other.arch_name_;
   root_ = other.root_ ? other.root_->clone() : nullptr;
   num_classes_ = other.num_classes_;
-  // Keep the existing arena object: slot storage is recycled where shapes
-  // match and regrows where they don't.
-  attach();
   return *this;
-}
-
-void Model::copy_from(const Model& other) {
-  GOLDFISH_CHECK(valid() && other.valid(), "copy_from needs valid models");
-  GOLDFISH_CHECK(arch_name_ == other.arch_name_ &&
-                     num_classes_ == other.num_classes_,
-                 "copy_from across different architectures");
-  auto dst = root_->params();
-  auto src = other.params();
-  GOLDFISH_CHECK(dst.size() == src.size(),
-                 "copy_from parameter count mismatch");
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    GOLDFISH_CHECK(dst[i].value->same_shape(*src[i].value),
-                   "copy_from shape mismatch at " + dst[i].name);
-    *dst[i].value = *src[i].value;
-    if (dst[i].grad != nullptr) dst[i].grad->zero();
-  }
 }
 
 void Model::zero_grad() {

@@ -1,12 +1,11 @@
 // Model: the unit the FL and unlearning layers operate on.
 //
-// A Model owns a root layer (usually Sequential) plus metadata and the
-// Workspace arena all of its layers write activations into, and exposes the
-// whole-model operations the paper's algorithms need: parameter
-// snapshot/restore (ω in Algorithm 1), in-place parameter copy (the
-// broadcast primitive of the pooled FL round), gradient reset, cloning
-// (teacher ← global model), and parameter-space arithmetic used by shard
-// aggregation (Eq. 8–10) and server aggregation (Eq. 13).
+// A Model owns a root layer (usually Sequential) plus metadata, and exposes
+// the whole-model operations the paper's algorithms need: parameter
+// snapshot/restore (ω in Algorithm 1; load + zero_grad is the broadcast of
+// the pooled FL round), gradient reset, cloning (teacher ← global model),
+// and parameter-space arithmetic used by shard aggregation (Eq. 8–10) and
+// server aggregation (Eq. 13).
 #pragma once
 
 #include <memory>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "nn/layer.h"
-#include "nn/workspace.h"
 #include "tensor/annotations.h"
 
 namespace goldfish::nn {
@@ -24,10 +22,10 @@ class Model {
   Model() = default;
   Model(std::string arch_name, std::unique_ptr<Layer> root, long num_classes);
 
+  /// Copies clone the layers: parameters and zeroed gradients, no pass
+  /// state (the first forward of a copy sizes its own buffers).
   Model(const Model& other);
   Model& operator=(const Model& other);
-  // The Workspace lives behind a unique_ptr, so moves keep every layer's
-  // binding valid without re-attaching.
   Model(Model&&) = default;
   Model& operator=(Model&&) = default;
 
@@ -36,7 +34,7 @@ class Model {
   long num_classes() const { return num_classes_; }
 
   /// Forward pass producing logits (N, num_classes). The result references
-  /// a workspace slot: valid until this model's next forward.
+  /// a buffer of the last layer: valid until this model's next forward.
   const Tensor& forward(const Tensor& x, bool train = true) {
     return root_->forward(x, train);
   }
@@ -53,9 +51,6 @@ class Model {
   /// The root layer, for callers that need the full backward (∂L/∂input)
   /// or a layer-level view.
   Layer& root() { return *root_; }
-
-  /// The activation arena every layer writes into (read-only inspection).
-  const Workspace& workspace() const { return *ws_; }
 
   /// All parameters (including batch-norm running stats, whose grad is null).
   std::vector<ParamRef> params() { return root_->params(); }
@@ -74,22 +69,14 @@ class Model {
   /// the ω that travels between client and server.
   std::vector<Tensor> snapshot() const;
 
-  /// Restore parameter values from a snapshot of matching structure.
+  /// Restore parameter values from a snapshot of matching structure, in
+  /// place (gradients untouched).
   void load(const std::vector<Tensor>& values);
-
-  /// In-place broadcast: copy `other`'s parameter values (running stats
-  /// included) into this model's existing storage and zero the gradient
-  /// accumulators — the allocation-free equivalent of `*this = other` for
-  /// structurally identical models (the FL client pool's per-round reset).
-  void copy_from(const Model& other);
 
  private:
   std::string arch_name_;
   std::unique_ptr<Layer> root_;
   long num_classes_ = 0;
-  std::unique_ptr<Workspace> ws_;  // activation arena shared by all layers
-
-  void attach();  // (re)bind root_ and children to ws_
 };
 
 // -- parameter-space arithmetic over snapshots -----------------------------

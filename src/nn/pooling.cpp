@@ -12,9 +12,6 @@ MaxPool2d::MaxPool2d(long kernel, long stride)
   GOLDFISH_CHECK(kernel > 0 && stride > 0, "bad pool dims");
 }
 
-MaxPool2d::MaxPool2d(const MaxPool2d& other)
-    : Layer(other), kernel_(other.kernel_), stride_(other.stride_) {}
-
 namespace {
 
 // Grain of the (n, c) plane loops: about 4K window outputs per chunk.
@@ -62,20 +59,20 @@ void pool_plane(const float* img, long W, long oh, long ow, long kernel,
 
 const Tensor& MaxPool2d::forward(const Tensor& x, bool /*train*/) {
   GOLDFISH_CHECK(x.rank() == 4, "pool expects (N,C,H,W)");
-  in_shape_ = x.shape();
+  *in_shape_ = x.shape();
   const long N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
   const long oh = (H - kernel_) / stride_ + 1;
   const long ow = (W - kernel_) / stride_ + 1;
   GOLDFISH_CHECK(oh > 0 && ow > 0, "pool output collapses to zero");
-  Tensor& out = slot(0, {N, C, oh, ow});
-  argmax_.resize(out.numel());  // every entry written below
+  Tensor& out = out_.acquire({N, C, oh, ow});
+  argmax_->resize(out.numel());  // every entry written below
   const long plane = H * W, out_plane = oh * ow;
   // Each (n, c) plane writes only its own outputs and argmax entries.
   parallel_for(N * C, [&](long p_lo, long p_hi) {
     for (long p = p_lo; p < p_hi; ++p) {
       const float* img = x.data() + p * plane;
       float* o = out.data() + p * out_plane;
-      std::size_t* arg = argmax_.data() + p * out_plane;
+      std::size_t* arg = argmax_->data() + p * out_plane;
       const auto base = static_cast<std::size_t>(p * plane);
       if (kernel_ == 2 && stride_ == 2) {
         pool_plane<2, 2>(img, W, oh, ow, 2, 2, base, o, arg);
@@ -88,21 +85,23 @@ const Tensor& MaxPool2d::forward(const Tensor& x, bool /*train*/) {
 }
 
 const Tensor& MaxPool2d::backward(const Tensor& grad_output) {
-  GOLDFISH_CHECK(grad_output.numel() == argmax_.size(),
+  const Shape& in_shape = *in_shape_;
+  const std::vector<std::size_t>& argmax = *argmax_;
+  GOLDFISH_CHECK(in_shape.size() == 4 && grad_output.numel() == argmax.size(),
                  "pool grad size mismatch");
-  Tensor& gin = slot(1, in_shape_);
-  const long H = in_shape_[2], W = in_shape_[3];
+  Tensor& gin = dx_.acquire(in_shape);
+  const long H = in_shape[2], W = in_shape[3];
   const long plane = H * W;
   const long out_plane =
       ((H - kernel_) / stride_ + 1) * ((W - kernel_) / stride_ + 1);
   // Scatter-add target: only argmax positions receive writes. A plane's
   // argmax entries all point into its own input plane, so planes zero and
   // scatter independently, each in output order.
-  parallel_for(in_shape_[0] * in_shape_[1], [&](long p_lo, long p_hi) {
+  parallel_for(in_shape[0] * in_shape[1], [&](long p_lo, long p_hi) {
     float* g = gin.data();
     std::fill(g + p_lo * plane, g + p_hi * plane, 0.0f);
     for (long i = p_lo * out_plane; i < p_hi * out_plane; ++i)
-      g[argmax_[std::size_t(i)]] += grad_output[std::size_t(i)];
+      g[argmax[std::size_t(i)]] += grad_output[std::size_t(i)];
   }, plane_grain(out_plane));
   return gin;
 }
@@ -119,9 +118,9 @@ std::string MaxPool2d::name() const {
 
 const Tensor& GlobalAvgPool::forward(const Tensor& x, bool /*train*/) {
   GOLDFISH_CHECK(x.rank() == 4, "gap expects (N,C,H,W)");
-  in_shape_ = x.shape();
+  *in_shape_ = x.shape();
   const long N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
-  Tensor& out = slot(0, {N, C});
+  Tensor& out = out_.acquire({N, C});
   const float inv = 1.0f / static_cast<float>(H * W);
   for (long n = 0; n < N; ++n) {
     for (long c = 0; c < C; ++c) {
@@ -135,12 +134,14 @@ const Tensor& GlobalAvgPool::forward(const Tensor& x, bool /*train*/) {
 }
 
 const Tensor& GlobalAvgPool::backward(const Tensor& grad_output) {
-  const long N = in_shape_[0], C = in_shape_[1], H = in_shape_[2],
-             W = in_shape_[3];
-  GOLDFISH_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == N &&
-                     grad_output.dim(1) == C,
+  const Shape& in_shape = *in_shape_;
+  GOLDFISH_CHECK(in_shape.size() == 4 && grad_output.rank() == 2 &&
+                     grad_output.dim(0) == in_shape[0] &&
+                     grad_output.dim(1) == in_shape[1],
                  "gap grad shape");
-  Tensor& gin = slot(1, in_shape_);
+  const long N = in_shape[0], C = in_shape[1], H = in_shape[2],
+             W = in_shape[3];
+  Tensor& gin = dx_.acquire(in_shape);
   const float inv = 1.0f / static_cast<float>(H * W);
   for (long n = 0; n < N; ++n)
     for (long c = 0; c < C; ++c) {

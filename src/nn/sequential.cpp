@@ -30,11 +30,6 @@ void Sequential::add(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
-void Sequential::attach_workspace(Workspace* ws, std::size_t& next_key) {
-  Layer::attach_workspace(ws, next_key);  // claims 0 slots for the container
-  for (auto& l : layers_) l->attach_workspace(ws, next_key);
-}
-
 // Peephole: a Linear or Conv2d directly followed by a ReLU runs as one
 // fused GEMM (bias + ReLU in the writeback); the standalone ReLU layer is
 // skipped in both passes and the GEMM layer applies the mask in its own
@@ -149,36 +144,9 @@ ResidualBlock::ResidualBlock(const ResidualBlock& other)
   }
 }
 
-ResidualBlock& ResidualBlock::operator=(const ResidualBlock& other) {
-  if (this == &other) return *this;
-  ResidualBlock tmp(other);
-  std::swap(conv1_, tmp.conv1_);
-  std::swap(bn1_, tmp.bn1_);
-  std::swap(relu1_, tmp.relu1_);
-  std::swap(conv2_, tmp.conv2_);
-  std::swap(bn2_, tmp.bn2_);
-  std::swap(short_conv_, tmp.short_conv_);
-  std::swap(short_bn_, tmp.short_bn_);
-  has_projection_ = tmp.has_projection_;
-  return *this;
-}
-
-void ResidualBlock::attach_workspace(Workspace* ws, std::size_t& next_key) {
-  Layer::attach_workspace(ws, next_key);  // claims the block's own 2 slots
-  conv1_->attach_workspace(ws, next_key);
-  bn1_->attach_workspace(ws, next_key);
-  relu1_->attach_workspace(ws, next_key);
-  conv2_->attach_workspace(ws, next_key);
-  bn2_->attach_workspace(ws, next_key);
-  if (has_projection_) {
-    short_conv_->attach_workspace(ws, next_key);
-    short_bn_->attach_workspace(ws, next_key);
-  }
-}
-
 const Tensor& ResidualBlock::forward(const Tensor& x, bool train) {
-  // The main branch lands in bn2_'s output slot; the block owns its
-  // sublayers, so finishing the residual sum + ReLU in that slot is safe
+  // The main branch lands in bn2_'s output buffer; the block owns its
+  // sublayers, so finishing the residual sum + ReLU in that buffer is safe
   // (bn2_'s backward never reads its own output).
   Tensor& main = const_cast<Tensor&>(bn2_->forward(
       conv2_->forward(relu1_->forward(bn1_->forward(conv1_->forward(x, train),
@@ -193,8 +161,7 @@ const Tensor& ResidualBlock::forward(const Tensor& x, bool train) {
   main += *shortcut;
 
   // Final ReLU done inline so we can keep its mask for backward.
-  out_shape_ = main.shape();
-  Tensor& mask = slot(0, out_shape_);
+  Tensor& mask = mask_.acquire(main.shape());
   float* md = mask.data();
   float* yd = main.data();
   for (std::size_t i = 0; i < main.numel(); ++i) {
@@ -209,9 +176,8 @@ const Tensor& ResidualBlock::forward(const Tensor& x, bool train) {
 }
 
 const Tensor& ResidualBlock::backward(const Tensor& grad_output) {
-  GOLDFISH_CHECK(grad_output.shape() == out_shape_, "residual grad shape");
-  const Tensor& mask = slot(0, out_shape_);  // same shape: contents intact
-  Tensor& g = slot(1, out_shape_);
+  const Tensor& mask = mask_.read(grad_output.shape());
+  Tensor& g = masked_.acquire(grad_output.shape());
   {
     const float* gd_in = grad_output.data();
     const float* md = mask.data();
@@ -219,7 +185,7 @@ const Tensor& ResidualBlock::backward(const Tensor& grad_output) {
     for (std::size_t i = 0; i < g.numel(); ++i) gd[i] = gd_in[i] * md[i];
   }
   // Branch gradients: the post-add gradient flows into both paths. The main
-  // chain's result is conv1_'s input-gradient slot — block-owned, so the
+  // chain's result is conv1_'s input-gradient buffer — block-owned, so the
   // shortcut gradient is summed into it in place.
   Tensor& g_main = const_cast<Tensor&>(conv1_->backward(bn1_->backward(
       relu1_->backward(conv2_->backward(bn2_->backward(g))))));

@@ -33,7 +33,6 @@ class Sequential final : public Layer {
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
-  void attach_workspace(Workspace* ws, std::size_t& next_key) override;
 
  private:
   /// True when layers_[i] is a Linear or Conv2d immediately followed by a
@@ -59,22 +58,21 @@ class ResidualBlock final : public Layer {
   /// in_h/in_w are the spatial dims entering the block.
   ResidualBlock(long in_channels, long out_channels, long stride, long in_h,
                 long in_w, Rng& rng);
+  /// Clones every sublayer; the copy carries no pass state.
   ResidualBlock(const ResidualBlock& other);
-  ResidualBlock& operator=(const ResidualBlock& other);
+  ResidualBlock& operator=(const ResidualBlock&) = delete;
 
   const Tensor& forward(const Tensor& x, bool train) override;
   const Tensor& backward(const Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
-  void attach_workspace(Workspace* ws, std::size_t& next_key) override;
-  std::size_t local_slots() const override { return 2; }  // mask, masked g
 
  private:
   std::unique_ptr<Layer> conv1_, bn1_, relu1_, conv2_, bn2_;
   std::unique_ptr<Layer> short_conv_, short_bn_;  // null for identity
-  Shape out_shape_;  // shape of the last forward's output / relu mask
   bool has_projection_ = false;
+  PassBuffer<Tensor> mask_, masked_;  // the final ReLU's mask and g · mask
 };
 
 }  // namespace goldfish::nn

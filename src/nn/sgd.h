@@ -23,7 +23,6 @@ class Sgd {
   explicit Sgd(Options opts) : opts_(opts) {}
 
   const Options& options() const { return opts_; }
-  void set_lr(float lr) { opts_.lr = lr; }
 
   /// Apply one update step from the model's accumulated gradients, then
   /// zero them. Parameters without gradients (batch-norm running stats) are

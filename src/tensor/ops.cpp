@@ -94,14 +94,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return gemm(a, b, false, false);
 }
 
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  return gemm(a, b, true, false);
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  return gemm(a, b, false, true);
-}
-
 Tensor transpose(const Tensor& a) {
   check_2d(a, "transpose");
   const long m = a.dim(0), n = a.dim(1);
@@ -193,19 +185,6 @@ std::vector<float> row_variance(const Tensor& t) {
     out[static_cast<std::size_t>(i)] = static_cast<float>(var / cols);
   }
   return out;
-}
-
-Tensor clamp_min(Tensor t, float lo) {
-  for (float& x : t.vec()) x = std::max(x, lo);
-  return t;
-}
-
-Tensor hadamard(Tensor lhs, const Tensor& rhs) {
-  GOLDFISH_CHECK(lhs.same_shape(rhs), "hadamard shape mismatch");
-  float* a = lhs.data();
-  const float* b = rhs.data();
-  for (std::size_t i = 0; i < lhs.numel(); ++i) a[i] *= b[i];
-  return lhs;
 }
 
 void col2im_sample(const float* __restrict cols, long ld, const Conv2dGeom& g,

@@ -38,7 +38,7 @@ void gemm_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
 
 /// gemm() writing into caller-owned storage: `c` is resized in place
 /// (resize_uninit — no reallocation once warm) and fully overwritten
-/// (beta=0). The zero-allocation twin used by workspace-backed layers.
+/// (beta=0). The zero-allocation twin layers use for their pass buffers.
 void gemm_into(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
                bool trans_b);
 
@@ -49,16 +49,6 @@ void gemm_fused_into(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
 
 /// C = A(m×k) · B(k×n). Thin wrapper over gemm(a, b, false, false).
 Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// C = Aᵀ(k×m)ᵀ · B(k×n) = (m×n). Thin wrapper over gemm(a, b, true, false).
-Tensor matmul_tn(const Tensor& a, const Tensor& b);
-
-/// C = A(m×k) · Bᵀ(n×k)ᵀ = (m×n). Thin wrapper over gemm(a, b, false, true).
-/// Note: the pre-runtime kernel accumulated each dot product in double;
-/// like the other two wrappers this now accumulates in float registers
-/// (standard GEMM practice — blocked summation keeps error well inside the
-/// test tolerances, but bitwise results differ from the seed).
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// Transposed copy of a 2-D tensor.
 Tensor transpose(const Tensor& a);
@@ -79,14 +69,6 @@ std::vector<long> argmax_rows(const Tensor& t);
 /// Per-row variance of a 2-D tensor (population variance, ÷C).
 /// Used by the confusion loss (Eq. 2) on prediction vectors.
 std::vector<float> row_variance(const Tensor& t);
-
-// -- elementwise -------------------------------------------------------
-
-/// Elementwise maximum with a scalar (ReLU building block).
-Tensor clamp_min(Tensor t, float lo);
-
-/// Elementwise product (Hadamard).
-Tensor hadamard(Tensor lhs, const Tensor& rhs);
 
 // -- convolution lowering ----------------------------------------------
 

@@ -149,18 +149,35 @@ std::size_t dense_payload_numel(const ByteReader& r, const Shape& shape) {
   return numel;
 }
 
+/// Bytes of the prefix every record kind shares: magic, rank, dims.
+std::size_t record_header_bytes(const Tensor& t) {
+  return 2 * sizeof(std::uint32_t) + t.rank() * sizeof(std::int64_t);
+}
+
+/// Bytes of a list: its count:u32 framing plus `record(t)` per tensor.
+template <typename RecordBytes>
+std::size_t list_bytes(const std::vector<Tensor>& ts, RecordBytes record) {
+  std::size_t total = sizeof(std::uint32_t);
+  for (const Tensor& t : ts) total += record(t);
+  return total;
+}
+
 }  // namespace
+
+std::size_t tensor_record_bytes(const Tensor& t) {
+  return record_header_bytes(t) + t.numel() * sizeof(float);
+}
+
+std::size_t serialized_bytes(const std::vector<Tensor>& ts) {
+  return list_bytes(ts, tensor_record_bytes);
+}
 
 GOLDFISH_HOT void serialize_tensors(const std::vector<Tensor>& ts,
                                     std::string& out) {
   out.clear();
-  std::size_t total = sizeof(std::uint32_t);
-  for (const Tensor& t : ts)
-    total += 2 * sizeof(std::uint32_t) + t.rank() * sizeof(std::int64_t) +
-             t.numel() * sizeof(float);
   // goldfish-lint: allow(ALLOC002) callers pass a thread_local wire buffer
   // whose capacity is monotonic — steady-state rounds reuse it, alloc-free
-  out.reserve(total);
+  out.reserve(serialized_bytes(ts));
   append(out, static_cast<std::uint32_t>(ts.size()));
   for (const Tensor& t : ts) append_tensor_record(out, t);
 }
@@ -175,11 +192,6 @@ GOLDFISH_HOT void append_tensor_record(std::string& out, const Tensor& t) {
     // buffer whose capacity is monotonic — steady-state spills reuse it
     out.append(reinterpret_cast<const char*>(t.data()),
                t.numel() * sizeof(float));
-}
-
-std::size_t tensor_record_bytes(const Tensor& t) {
-  return sizeof kMagic + sizeof(std::uint32_t) +
-         t.rank() * sizeof(std::int64_t) + t.numel() * sizeof(float);
 }
 
 GOLDFISH_HOT void read_tensor_record_into(const char* data, std::size_t size,
@@ -202,16 +214,9 @@ std::vector<Tensor> deserialize_tensors(const char* data, std::size_t size) {
   GOLDFISH_CHECK(n < (1u << 20), "implausible tensor count");
   std::vector<Tensor> out;
   out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    GOLDFISH_CHECK(r.take<std::uint32_t>() == kMagic, "bad tensor magic");
-    Shape shape = read_shape(r);
-    const std::size_t payload = dense_payload_numel(r, shape) * sizeof(float);
-    Tensor t = Tensor::uninit(std::move(shape));
-    if (payload != 0) std::memcpy(t.data(), r.p, payload);
-    r.p += payload;
-    r.left -= payload;
-    out.push_back(std::move(t));
-  }
+  std::size_t offset = sizeof n;
+  for (std::uint32_t i = 0; i < n; ++i)
+    read_tensor_record_into(data, size, &offset, out.emplace_back());
   return out;
 }
 
@@ -239,13 +244,15 @@ Shape read_record_header(ByteReader& r, std::uint32_t magic,
 
 }  // namespace
 
+std::size_t quantized_bytes(const std::vector<Tensor>& ts) {
+  return list_bytes(ts, [](const Tensor& t) {
+    return record_header_bytes(t) + 2 * sizeof(float) + t.numel();
+  });
+}
+
 void serialize_quantized(const std::vector<Tensor>& ts, std::string& out) {
   out.clear();
-  std::size_t total = sizeof(std::uint32_t);
-  for (const Tensor& t : ts)
-    total += 2 * sizeof(std::uint32_t) + t.rank() * sizeof(std::int64_t) +
-             2 * sizeof(float) + t.numel();
-  out.reserve(total);
+  out.reserve(quantized_bytes(ts));
   append(out, static_cast<std::uint32_t>(ts.size()));
   for (const Tensor& t : ts) {
     append_record_header(out, kQuantMagic, t);
@@ -303,17 +310,21 @@ long topk_count(long numel, double fraction) {
   return std::clamp(k, 1L, numel);
 }
 
+std::size_t topk_bytes(const std::vector<Tensor>& ts, double fraction) {
+  return list_bytes(ts, [fraction](const Tensor& t) {
+    const auto k = static_cast<std::size_t>(
+        topk_count(static_cast<long>(t.numel()), fraction));
+    return record_header_bytes(t) + sizeof(std::uint32_t) +
+           k * (sizeof(std::uint32_t) + sizeof(float));
+  });
+}
+
 void serialize_topk(const std::vector<Tensor>& ts, double fraction,
                     std::string& out) {
   GOLDFISH_CHECK(fraction > 0.0 && fraction <= 1.0,
                  "top-k fraction must be in (0, 1]");
   out.clear();
-  std::size_t total = sizeof(std::uint32_t);
-  for (const Tensor& t : ts)
-    total += 3 * sizeof(std::uint32_t) + t.rank() * sizeof(std::int64_t) +
-             static_cast<std::size_t>(topk_count(long(t.numel()), fraction)) *
-                 (sizeof(std::uint32_t) + sizeof(float));
-  out.reserve(total);
+  out.reserve(topk_bytes(ts, fraction));
   append(out, static_cast<std::uint32_t>(ts.size()));
   // Selection scratch, reused across tensors and calls (the FL upload path
   // encodes inside scheduler tasks, one buffer per worker thread).

@@ -34,6 +34,9 @@ std::vector<Tensor> load_tensors(const std::string& path);
 GOLDFISH_HOT void serialize_tensors(const std::vector<Tensor>& ts,
                                     std::string& out);
 
+/// Size in bytes of what serialize_tensors writes for `ts` (its reserve).
+std::size_t serialized_bytes(const std::vector<Tensor>& ts);
+
 /// Parse a buffer produced by serialize_tensors / save_tensors. Throws on
 /// malformed or truncated input.
 std::vector<Tensor> deserialize_tensors(const char* data, std::size_t size);
@@ -73,6 +76,9 @@ GOLDFISH_HOT void read_tensor_record_into(const char* data, std::size_t size,
 /// across machines. Constant tensors (max == min) decode exactly.
 void serialize_quantized(const std::vector<Tensor>& ts, std::string& out);
 
+/// Size in bytes of what serialize_quantized writes for `ts`.
+std::size_t quantized_bytes(const std::vector<Tensor>& ts);
+
 /// Parse a "GFQ1" buffer back into dequantized float tensors
 /// (v = min + q·s). Throws on malformed or truncated input.
 std::vector<Tensor> deserialize_quantized(const char* data, std::size_t size);
@@ -84,6 +90,9 @@ std::vector<Tensor> deserialize_quantized(const char* data, std::size_t size);
 void serialize_topk(const std::vector<Tensor>& ts, double fraction,
                     std::string& out);
 
+/// Size in bytes of what serialize_topk writes for `ts` at `fraction`.
+std::size_t topk_bytes(const std::vector<Tensor>& ts, double fraction);
+
 /// Parse a "GFK1" buffer back into dense tensors (zeros + scatter). Throws
 /// on malformed or truncated input (bad magic, k > numel, out-of-range or
 /// non-ascending indices).
@@ -91,7 +100,7 @@ std::vector<Tensor> deserialize_topk(const char* data, std::size_t size);
 
 /// The k used for one tensor of `numel` elements at `fraction` ∈ (0, 1]:
 /// ceil(fraction·numel), at least 1 for non-empty tensors. Shared by the
-/// encoder and the byte-size predictors so the two can never disagree.
+/// encoder and topk_bytes so the two can never disagree.
 long topk_count(long numel, double fraction);
 
 }  // namespace goldfish

@@ -76,7 +76,8 @@ Tensor Tensor::from2d(
 }
 
 void Tensor::resize_uninit(const Shape& shape) {
-  if (shape_ == shape) return;
+  // A rank-0 shape holds one element, which an empty Tensor() lacks.
+  if (shape_ == shape && !shape.empty()) return;
   const std::size_t n = shape_numel(shape);
   // Dropping the old contents before a growing resize avoids the element
   // copy a plain resize would do on reallocation.

@@ -128,7 +128,7 @@ class Tensor {
   /// Reshape in place to `shape`, reallocating only when the element count
   /// grows past the current capacity. Contents are preserved when the shape
   /// is unchanged and undefined otherwise (like Tensor::uninit) — the
-  /// workspace-reuse primitive behind zero-allocation steady-state passes.
+  /// buffer-reuse primitive behind zero-allocation steady-state passes.
   void resize_uninit(const Shape& shape);
 
   /// True if shapes are exactly equal.

@@ -330,6 +330,25 @@ TEST(DatasetSharing, WriteDetachesOnlyWhenShared) {
   EXPECT_EQ(other.size(), 1);
 }
 
+// overwritable() is writable() for a caller about to replace every row: a
+// sole owner gets its block back in place, a shared handle an empty tensor
+// of its own, without copying the rows the other holder keeps.
+TEST(DatasetSharing, OverwritableSkipsTheCopyOfSharedRows) {
+  auto tt =
+      data::make_synthetic(data::default_spec(DatasetKind::Mnist, 24, 40, 10));
+  Dataset ds = tt.train.subset({0, 1, 2});
+  const float* own = rows_of(ds);
+  EXPECT_EQ(ds.features.overwritable().data(), own);
+
+  Dataset copy = ds;
+  const std::size_t before = alloc_stats::heap_allocations();
+  Tensor& fresh = copy.features.overwritable();
+  EXPECT_EQ(alloc_stats::heap_allocations(), before);
+  EXPECT_TRUE(fresh.empty());
+  EXPECT_EQ(rows_of(ds), own);
+  EXPECT_EQ(ds.size(), 3);
+}
+
 TEST(DatasetSharing, PoisonedCopyLeavesSourceUnchanged) {
   auto tt =
       data::make_synthetic(data::default_spec(DatasetKind::Mnist, 23, 80, 10));

@@ -131,8 +131,8 @@ TEST(Gemm, WrappersRouteThroughSingleEntryPoint) {
   Tensor at = transpose(a);
   Tensor bt = transpose(b);
   const Tensor base = matmul(a, b);
-  const Tensor tn = matmul_tn(at, b);
-  const Tensor nt = matmul_nt(a, bt);
+  const Tensor tn = gemm(at, b, /*trans_a=*/true, /*trans_b=*/false);
+  const Tensor nt = gemm(a, bt, /*trans_a=*/false, /*trans_b=*/true);
   for (std::size_t i = 0; i < base.numel(); ++i) {
     EXPECT_FLOAT_EQ(tn[i], base[i]);
     EXPECT_FLOAT_EQ(nt[i], base[i]);

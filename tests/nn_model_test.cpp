@@ -7,6 +7,7 @@
 #include "nn/models.h"
 #include "nn/sgd.h"
 #include "losses/hard_loss.h"
+#include "pool_probe.h"
 #include "tensor/buffer_pool.h"
 
 namespace goldfish {
@@ -49,14 +50,15 @@ TEST(ModelBackward, ParameterGradientsMatchFullBackward) {
   struct Case {
     const char* arch;
     nn::InputGeom geom;
-    std::vector<std::size_t> input_grad_slots;
+    // Input gradients of the model's input shape that a full backward
+    // writes: the first Linear's, or the first Conv2d's and Unflatten's.
+    std::size_t input_grads;
   };
-  // Workspace keys in attach order: the Sequential root claims none,
-  // Unflatten claims (y, dx) = 0–1, Linear (y, masked g, dx) and Conv2d
-  // (flat, packed, unpacked g, input grad) follow.
-  const Case cases[] = {{"mlp16", {1, 4, 4}, {2}},
-                        {"lenet5", {1, 16, 16}, {1, 5}},
-                        {"resnet8", {3, 8, 8}, {1, 5}}};
+  // Geometries chosen so that no other buffer has the input's size (the
+  // probe below tells buffers apart by their size only).
+  const Case cases[] = {{"mlp16", {1, 5, 5}, 1},
+                        {"lenet5", {1, 20, 20}, 2},
+                        {"resnet8", {3, 8, 8}, 2}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.arch);
     Rng rng(71);
@@ -64,17 +66,37 @@ TEST(ModelBackward, ParameterGradientsMatchFullBackward) {
     nn::Model full = params_only;
     losses::CrossEntropyLoss ce;
     // Two accumulating passes, the second with a different batch height.
-    for (long rows : {13L, 7L}) {
-      const Tensor x = Tensor::randn({rows, c.geom.flat()}, rng);
-      std::vector<long> y;
-      for (long i = 0; i < rows; ++i) y.push_back(i % 10);
-      params_only.backward(
-          ce.eval(params_only.forward(x, true), y).grad_logits);
-      (void)full.root().backward(ce.eval(full.forward(x, true), y).grad_logits);
+    const long rows[] = {13, 7};
+    std::vector<Tensor> xs;
+    std::vector<std::vector<long>> ys;
+    for (long n : rows) {
+      xs.push_back(Tensor::randn({n, c.geom.flat()}, rng));
+      ys.emplace_back();
+      for (long i = 0; i < n; ++i) ys.back().push_back(i % 10);
     }
-    for (std::size_t key : c.input_grad_slots) {
-      EXPECT_TRUE(params_only.workspace().peek(key).empty()) << "slot " << key;
-      EXPECT_FALSE(full.workspace().peek(key).empty()) << "slot " << key;
+    const auto params_only_passes = [&] {
+      for (std::size_t p = 0; p < xs.size(); ++p)
+        params_only.backward(
+            ce.eval(params_only.forward(xs[p], true), ys[p]).grad_logits);
+    };
+    const auto full_passes = [&] {
+      for (std::size_t p = 0; p < xs.size(); ++p)
+        (void)full.root().backward(
+            ce.eval(full.forward(xs[p], true), ys[p]).grad_logits);
+    };
+    if (alloc_stats::enabled()) {
+      // Both models keep the same forward buffers of the first batch's
+      // input size; the full backward adds its input gradients to them.
+      const std::size_t input_floats =
+          static_cast<std::size_t>(rows[0] * c.geom.flat());
+      const std::size_t kept_params_only =
+          pooled_blocks_kept(input_floats, params_only_passes);
+      const std::size_t kept_full =
+          pooled_blocks_kept(input_floats, full_passes);
+      EXPECT_EQ(kept_full, kept_params_only + c.input_grads);
+    } else {
+      params_only_passes();
+      full_passes();
     }
     const auto pa = params_only.params();
     const auto pb = full.params();
@@ -87,6 +109,50 @@ TEST(ModelBackward, ParameterGradientsMatchFullBackward) {
                 0)
           << pa[i].name;
     }
+  }
+}
+
+// Every way of copying a trained model — the copy constructor, operator=
+// and Layer::clone — allocates its parameters and zeroed gradients and no
+// pass buffer: a copy carries nothing its source's passes left behind, so
+// its backward before its own forward has nothing to read.
+TEST(Model, CopiesOfTrainedModelAllocateParametersOnly) {
+  if (!alloc_stats::enabled())
+    GTEST_SKIP() << "needs GOLDFISH_ALLOC_STATS";
+  for (const char* arch : {"mlp16", "lenet5", "resnet8"}) {
+    SCOPED_TRACE(arch);
+    const nn::InputGeom geom{3, 12, 12};
+    Rng rng(29);
+    nn::Model m = nn::make_model(arch, geom, 10, rng);
+    nn::Model assigned = nn::make_model(arch, geom, 10, rng);
+    const Tensor x = Tensor::randn({9, geom.flat()}, rng);
+    const std::vector<long> y{0, 1, 2, 3, 4, 5, 6, 7, 8};
+    losses::CrossEntropyLoss ce;
+    for (nn::Model* model : {&m, &assigned}) {
+      nn::Sgd sgd;
+      model->backward(ce.eval(model->forward(x, true), y).grad_logits);
+      sgd.step(*model);
+      (void)model->forward(x, false);
+    }
+    std::size_t tensors = 0;
+    for (const nn::ParamRef& p : m.params()) tensors += p.grad ? 2 : 1;
+
+    std::size_t before = alloc_stats::heap_allocations();
+    nn::Model copy = m;
+    EXPECT_EQ(alloc_stats::heap_allocations() - before, tensors);
+
+    before = alloc_stats::heap_allocations();
+    assigned = m;
+    EXPECT_EQ(alloc_stats::heap_allocations() - before, tensors);
+
+    before = alloc_stats::heap_allocations();
+    std::unique_ptr<nn::Layer> root = m.root().clone();
+    EXPECT_EQ(alloc_stats::heap_allocations() - before, tensors);
+
+    const Tensor g = Tensor::ones({9, 10});
+    EXPECT_THROW(copy.backward(g), CheckError);
+    EXPECT_THROW(assigned.backward(g), CheckError);
+    EXPECT_THROW((void)root->backward(g), CheckError);
   }
 }
 

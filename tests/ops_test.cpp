@@ -15,6 +15,7 @@
 #include "nn/conv.h"
 #include "nn/models.h"
 #include "nn/sequential.h"
+#include "pool_probe.h"
 #include "runtime/scheduler.h"
 #include "tensor/ops.h"
 
@@ -51,7 +52,7 @@ TEST(Matmul, TnMatchesExplicitTranspose) {
   Tensor a = Tensor::randn({4, 3}, rng);  // will be used as aᵀ (3x4)
   Tensor b = Tensor::randn({4, 5}, rng);
   Tensor expect = matmul(transpose(a), b);
-  Tensor got = matmul_tn(a, b);
+  Tensor got = gemm(a, b, /*trans_a=*/true, /*trans_b=*/false);
   ASSERT_TRUE(got.same_shape(expect));
   for (std::size_t i = 0; i < got.numel(); ++i)
     EXPECT_NEAR(got[i], expect[i], 1e-4f);
@@ -62,7 +63,7 @@ TEST(Matmul, NtMatchesExplicitTranspose) {
   Tensor a = Tensor::randn({4, 3}, rng);
   Tensor b = Tensor::randn({5, 3}, rng);  // used as bᵀ (3x5)
   Tensor expect = matmul(a, transpose(b));
-  Tensor got = matmul_nt(a, b);
+  Tensor got = gemm(a, b, /*trans_a=*/false, /*trans_b=*/true);
   ASSERT_TRUE(got.same_shape(expect));
   for (std::size_t i = 0; i < got.numel(); ++i)
     EXPECT_NEAR(got[i], expect[i], 1e-4f);
@@ -154,20 +155,6 @@ TEST(RowVariance, KnownValue) {
   Tensor t = Tensor::from2d({{1.0f, 0.0f}});
   // mean 0.5, var = ((0.5)²+(0.5)²)/2 = 0.25
   EXPECT_NEAR(row_variance(t)[0], 0.25f, 1e-6f);
-}
-
-TEST(ClampMin, Relu) {
-  Tensor t = Tensor::from({-1, 0, 2});
-  Tensor r = clamp_min(t, 0.0f);
-  EXPECT_FLOAT_EQ(r[0], 0.0f);
-  EXPECT_FLOAT_EQ(r[2], 2.0f);
-}
-
-TEST(Hadamard, Elementwise) {
-  Tensor a = Tensor::from({1, 2, 3});
-  Tensor b = Tensor::from({4, 5, 6});
-  Tensor c = hadamard(a, b);
-  EXPECT_FLOAT_EQ(c[1], 10.0f);
 }
 
 // -- im2col: the lowering conv no longer materializes ----------------------
@@ -609,20 +596,32 @@ TEST(ConvKernels, FusedReluMatchesUnfusedPair) {
   }
 }
 
-// In lenet5 both Conv2d→ReLU pairs fuse: the ReLUs keep their slot keys
-// but never fill their y and mask slots.
+// In lenet5 both Conv2d→ReLU pairs fuse: the ReLUs never fill their
+// buffers, and each conv fills its product and its packed output. Counted
+// per conv at its output size (no other buffer of lenet5 at 28×28 and
+// batch 8 has either size): a forward keeps the conv's product and packed
+// output, a backward the conv's unpacked gradient and the max-pool's input
+// gradient. An unfused ReLU would keep its output and mask in the forward
+// and its input gradient in the backward.
 TEST(ConvKernels, LenetFusedReluLeavesItsSlotsEmpty) {
+  if (!alloc_stats::enabled())
+    GTEST_SKIP() << "needs GOLDFISH_ALLOC_STATS";
+  constexpr long kRows = 8;
+  const std::size_t conv_outs[] = {std::size_t{kRows} * 6 * 28 * 28,
+                                   std::size_t{kRows} * 16 * 10 * 10};
   Rng rng(36);
-  nn::Model model = nn::make_model("lenet5", {1, 28, 28}, 10, rng);
-  const Tensor x = Tensor::randn({8, 784}, rng);
-  const Tensor& logits = model.forward(x, true);
-  (void)model.root().backward(Tensor::ones(logits.shape()));
-  // Keys: Unflatten 0–1, conv1 2–5, ReLU 6–8, pool 9–10, conv2 11–14,
-  // ReLU 15–17.
-  for (std::size_t key : {6u, 7u, 8u, 15u, 16u, 17u})
-    EXPECT_TRUE(model.workspace().peek(key).empty()) << "slot " << key;
-  for (std::size_t key : {3u, 12u})  // the convs' packed outputs
-    EXPECT_FALSE(model.workspace().peek(key).empty()) << "slot " << key;
+  const Tensor x = Tensor::randn({kRows, 784}, rng);
+  for (std::size_t out : conv_outs) {
+    SCOPED_TRACE(out);
+    Rng model_rng(37);
+    nn::Model model = nn::make_model("lenet5", {1, 28, 28}, 10, model_rng);
+    Tensor logits;
+    EXPECT_EQ(pooled_blocks_kept(out, [&] { logits = model.forward(x, true); }),
+              2u);
+    const Tensor g = Tensor::ones(logits.shape());
+    EXPECT_EQ(pooled_blocks_kept(out, [&] { (void)model.root().backward(g); }),
+              2u);
+  }
 }
 
 std::uint64_t fnv1a(std::uint64_t h, const Tensor& t) {

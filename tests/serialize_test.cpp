@@ -194,6 +194,27 @@ TEST(Serialize, DeserializeRejectsCorruptBuffers) {
   EXPECT_EQ(fixtures::list_of(huge).size(), 32u);
 }
 
+// A rank-0 record carries one float. Decoding it into an empty Tensor() —
+// whose shape is the same empty dims list, but with no element — must still
+// land that float, through both the list decoder and the in-place reader.
+TEST(Serialize, RankZeroRecordDecodesItsOneElement) {
+  std::string rec = fixtures::record(fixtures::kDense, {}, 0);
+  fixtures::append_f32(rec, 2.5f);
+  const std::string list = fixtures::list_of(rec);
+  const std::vector<Tensor> back = deserialize_tensors(list.data(), list.size());
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].rank(), 0u);
+  ASSERT_EQ(back[0].numel(), 1u);
+  EXPECT_EQ(back[0][0], 2.5f);
+
+  Tensor t;
+  std::size_t offset = 0;
+  read_tensor_record_into(rec.data(), rec.size(), &offset, t);
+  EXPECT_EQ(offset, rec.size());
+  ASSERT_EQ(t.numel(), 1u);
+  EXPECT_EQ(t[0], 2.5f);
+}
+
 // -- compressed wire records (GFQ1 / GFK1) ----------------------------------
 //
 // The byte-level fixtures below are the executable counterpart of

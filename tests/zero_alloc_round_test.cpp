@@ -1,5 +1,5 @@
 // The zero-allocation federated round: pooled client models + per-model
-// workspace arenas + batched client evaluation must be bit-identical to the
+// pass buffers + batched client evaluation must be bit-identical to the
 // historical allocate-everything path at any thread count, and a steady-state
 // round must perform zero FloatBuffer heap allocations.
 #include <gtest/gtest.h>
@@ -193,8 +193,9 @@ TEST(ZeroAllocRound, DeterministicAcrossThreadCounts) {
 }
 
 TEST(ZeroAllocRound, PooledModelAndArenaMatchFreshClones) {
-  // Reusing one pooled model (copy_from + warm arena) across training runs
-  // with a mid-run batch-size change must match training fresh clones.
+  // Reusing one pooled model (the engine's broadcast, load + zero_grad, over
+  // warm pass buffers) across training runs with a mid-run batch-size
+  // change must match training fresh clones.
   auto tt = data::make_synthetic(
       data::default_spec(data::DatasetKind::Mnist, 109, 200, 50));
   Rng rng(110);
@@ -204,11 +205,12 @@ TEST(ZeroAllocRound, PooledModelAndArenaMatchFreshClones) {
   for (long run = 0; run < 3; ++run) {
     fl::TrainOptions opts;
     opts.epochs = 1;
-    opts.batch_size = run == 1 ? 32 : 50;  // arena regrows mid-sequence
+    opts.batch_size = run == 1 ? 32 : 50;  // buffers regrow mid-sequence
     opts.lr = 0.05f;
     opts.seed = 1000 + static_cast<std::uint64_t>(run);
 
-    pooled.copy_from(global);
+    pooled.load(global.snapshot());
+    pooled.zero_grad();
     fl::train_local(pooled, tt.train, opts);
 
     nn::Model fresh = global;  // the legacy path: deep copy every time
@@ -308,16 +310,6 @@ TEST(ZeroAllocRound, PoolBoundedByParallelism) {
   sync_round(eng);
   EXPECT_GE(eng.pool_size(), 1u);
   EXPECT_LE(eng.pool_size(), 2u);  // never one replica per client
-}
-
-TEST(ZeroAllocRound, ModelCopyFromRequiresMatchingStructure) {
-  Rng rng(117);
-  nn::Model a = nn::make_mlp({1, 4, 4}, 8, 3, rng);
-  nn::Model b = nn::make_mlp({1, 4, 4}, 8, 3, rng);
-  b.copy_from(a);
-  EXPECT_TRUE(snapshots_bitwise_equal(a.snapshot(), b.snapshot()));
-  nn::Model c = nn::make_mlp({1, 4, 4}, 4, 3, rng);
-  EXPECT_THROW(c.copy_from(a), CheckError);
 }
 
 }  // namespace
